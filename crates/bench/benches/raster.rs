@@ -10,8 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_bench::runner::{capacity_measure, count, square_arrangement};
 use rnnhm_bench::workload::{build_workload, DatasetKind};
 use rnnhm_geom::{Metric, Rect};
-use rnnhm_heatmap::compute::{rasterize_count_squares_fast, rasterize_squares_oracle};
-use rnnhm_heatmap::scanline::rasterize_squares_scanline;
+use rnnhm_heatmap::compute::{
+    rasterize_count_squares_fast, rasterize_squares, rasterize_squares_oracle,
+};
 use rnnhm_heatmap::GridSpec;
 use std::hint::black_box;
 
@@ -26,7 +27,7 @@ fn bench_paths(c: &mut Criterion) {
             let spec = GridSpec::new(px, px, extent);
             let tag = format!("n{n}/px{px}");
             group.bench_with_input(BenchmarkId::new("scanline", &tag), &arr, |b, arr| {
-                b.iter(|| rasterize_squares_scanline(black_box(arr), &count(), spec))
+                b.iter(|| rasterize_squares(black_box(arr), &count(), spec))
             });
             group.bench_with_input(BenchmarkId::new("oracle", &tag), &arr, |b, arr| {
                 b.iter(|| rasterize_squares_oracle(black_box(arr), &count(), spec))
@@ -50,10 +51,10 @@ fn bench_measures(c: &mut Criterion) {
     let spec = GridSpec::new(256, 256, Rect::new(0.0, 1.0, 0.0, 1.0));
     let capacity = capacity_measure(&w, 5);
     group.bench_function("scanline/count", |b| {
-        b.iter(|| rasterize_squares_scanline(black_box(&arr), &count(), spec))
+        b.iter(|| rasterize_squares(black_box(&arr), &count(), spec))
     });
     group.bench_function("scanline/capacity", |b| {
-        b.iter(|| rasterize_squares_scanline(black_box(&arr), &capacity, spec))
+        b.iter(|| rasterize_squares(black_box(&arr), &capacity, spec))
     });
     group.finish();
 }

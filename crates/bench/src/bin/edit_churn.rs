@@ -18,15 +18,10 @@
 //! keeps the full k ∈ {1, 4, 16} sweep.
 
 use rnnhm_bench::edits::{compare_edit_paths_k, write_edits_json, EditChurn};
+use rnnhm_bench::runner::cli;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_edits.json");
+    let (quick, out) = cli("BENCH_edits.json");
 
     // (n_clients, viewport px, tile px, k)
     let configs: &[(usize, usize, usize, usize)] = if quick {
@@ -73,6 +68,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_edits_json(out, &runs).expect("write json");
+    write_edits_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

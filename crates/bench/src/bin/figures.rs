@@ -22,10 +22,10 @@ use std::io::Write as _;
 use std::path::Path;
 
 use rnnhm_bench::runner::{
-    capacity_measure, count, csv_row, disk_arrangement, run_ba, run_crest, run_crest_a,
+    capacity_measure, cli, count, csv_row, disk_arrangement, run_ba, run_crest, run_crest_a,
     run_crest_l2_max, run_pruning_max, square_arrangement, Timing,
 };
-use rnnhm_bench::workload::{build_workload, DatasetKind};
+use rnnhm_bench::workload::{build_workload, DatasetKind, Workload};
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_data::Dataset;
 use rnnhm_geom::{Metric, Rect};
@@ -40,10 +40,7 @@ const BA_MAX_CELLS: u64 = 40_000_000;
 const PRUNING_BUDGET: u64 = 2_000_000_000;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let what =
-        args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".to_string());
+    let (quick, what) = cli("all");
     fs::create_dir_all("results").expect("create results dir");
 
     match what.as_str() {
@@ -121,85 +118,76 @@ fn sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Fig 16: effect of |O|/|F| with L1 distance (n = |O| = 2^10).
-fn fig16(quick: bool) {
-    let n = 1024;
+/// One figure's sweep: every data set × every `x` in `xs`, timing
+/// `algos` on the workload `(|O|, |O|/|F|) = at(x)` built with `seed`.
+fn figure(
+    name: &str,
+    header: &str,
+    (x_label, xs): (&str, Vec<usize>),
+    seed: u64,
+    at: impl Fn(usize) -> (usize, usize),
+    algos: impl Fn(&Workload) -> Vec<Timing>,
+) {
     let mut rows = Vec::new();
     for kind in DatasetKind::ALL {
-        for &ratio in &ratios(quick) {
-            let w = build_workload(kind, n, ratio, 16);
-            let arr = square_arrangement(&w, Metric::L1);
-            let timings = vec![
-                run_ba(&arr, &count(), BA_MAX_CELLS),
-                run_crest_a(&arr, &count()),
-                run_crest(&arr, &count()),
-            ];
-            rows.push(csv_row(kind.name(), "ratio", ratio as u64, &timings));
-            progress(kind.name(), "ratio", ratio, &timings);
+        for &x in &xs {
+            let (n, ratio) = at(x);
+            let timings = algos(&build_workload(kind, n, ratio, seed));
+            rows.push(csv_row(kind.name(), x_label, x as u64, &timings));
+            progress(kind.name(), x_label, x, &timings);
         }
     }
-    write_block("fig16_ratio_l1", "dataset,x,BA,CREST-A,CREST", &rows);
+    write_block(name, header, &rows);
+}
+
+/// BA / CREST-A / CREST under L1 (Figs 16–17).
+fn l1_algos(w: &Workload) -> Vec<Timing> {
+    let arr = square_arrangement(w, Metric::L1);
+    vec![
+        run_ba(&arr, &count(), BA_MAX_CELLS),
+        run_crest_a(&arr, &count()),
+        run_crest(&arr, &count()),
+    ]
+}
+
+/// Pruning / CREST-L2 on the L2 max-region task under the
+/// capacity-constrained measure of \[22\] (Figs 18–19).
+fn l2_algos(w: &Workload, seed: u64) -> Vec<Timing> {
+    let arr = disk_arrangement(w);
+    let measure = capacity_measure(w, seed);
+    vec![run_pruning_max(&arr, &measure, PRUNING_BUDGET), run_crest_l2_max(&arr, &measure)]
+}
+
+/// Fig 16: effect of |O|/|F| with L1 distance (n = |O| = 2^10).
+fn fig16(quick: bool) {
+    let header = "dataset,x,BA,CREST-A,CREST";
+    figure("fig16_ratio_l1", header, ("ratio", ratios(quick)), 16, |r| (1024, r), l1_algos);
 }
 
 /// Fig 17: effect of data set size with L1 distance (ratio = 2^7).
 fn fig17(quick: bool) {
-    let ratio = 128;
-    let mut rows = Vec::new();
-    for kind in DatasetKind::ALL {
-        for &n in &sizes(quick) {
-            let w = build_workload(kind, n, ratio, 17);
-            let arr = square_arrangement(&w, Metric::L1);
-            let timings = vec![
-                run_ba(&arr, &count(), BA_MAX_CELLS),
-                run_crest_a(&arr, &count()),
-                run_crest(&arr, &count()),
-            ];
-            rows.push(csv_row(kind.name(), "n", n as u64, &timings));
-            progress(kind.name(), "n", n, &timings);
-        }
-    }
-    write_block("fig17_size_l1", "dataset,x,BA,CREST-A,CREST", &rows);
+    let header = "dataset,x,BA,CREST-A,CREST";
+    figure("fig17_size_l1", header, ("n", sizes(quick)), 17, |n| (n, 128), l1_algos);
 }
 
-/// Fig 18: effect of |O|/|F| with L2 distance (max-influence task,
-/// capacity-constrained measure of \[22\]; n = |O| = 2^10).
+/// Fig 18: effect of |O|/|F| with L2 distance (max-influence task;
+/// n = |O| = 2^10).
 fn fig18(quick: bool) {
-    let n = 1024;
-    let mut rows = Vec::new();
-    for kind in DatasetKind::ALL {
-        for &ratio in &ratios(quick) {
-            let w = build_workload(kind, n, ratio, 18);
-            let arr = disk_arrangement(&w);
-            let measure = capacity_measure(&w, 18);
-            let timings = vec![
-                run_pruning_max(&arr, &measure, PRUNING_BUDGET),
-                run_crest_l2_max(&arr, &measure),
-            ];
-            rows.push(csv_row(kind.name(), "ratio", ratio as u64, &timings));
-            progress(kind.name(), "ratio", ratio, &timings);
-        }
-    }
-    write_block("fig18_ratio_l2", "dataset,x,Pruning,CREST-L2", &rows);
+    let header = "dataset,x,Pruning,CREST-L2";
+    figure(
+        "fig18_ratio_l2",
+        header,
+        ("ratio", ratios(quick)),
+        18,
+        |r| (1024, r),
+        |w| l2_algos(w, 18),
+    );
 }
 
 /// Fig 19: effect of data set size with L2 distance (ratio = 2^5).
 fn fig19(quick: bool) {
-    let ratio = 32;
-    let mut rows = Vec::new();
-    for kind in DatasetKind::ALL {
-        for &n in &sizes(quick) {
-            let w = build_workload(kind, n, ratio, 19);
-            let arr = disk_arrangement(&w);
-            let measure = capacity_measure(&w, 19);
-            let timings = vec![
-                run_pruning_max(&arr, &measure, PRUNING_BUDGET),
-                run_crest_l2_max(&arr, &measure),
-            ];
-            rows.push(csv_row(kind.name(), "n", n as u64, &timings));
-            progress(kind.name(), "n", n, &timings);
-        }
-    }
-    write_block("fig19_size_l2", "dataset,x,Pruning,CREST-L2", &rows);
+    let header = "dataset,x,Pruning,CREST-L2";
+    figure("fig19_size_l2", header, ("n", sizes(quick)), 19, |n| (n, 32), |w| l2_algos(w, 19));
 }
 
 /// Figs 1 & 15: the showcase heat maps — 20,000 clients, 6,000

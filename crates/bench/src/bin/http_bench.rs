@@ -27,12 +27,10 @@
 //! only meaningful at full scale).
 
 use rnnhm_bench::http::{run_http_load, write_http_json, HttpLoadResult};
+use rnnhm_bench::runner::cli;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out =
-        args.iter().find(|a| !a.starts_with("--")).map(String::as_str).unwrap_or("BENCH_http.json");
+    let (quick, out) = cli("BENCH_http.json");
 
     // (n_clients, view px, tile px, sessions, users, reqs/user, ref ms)
     // The reference figures are the in-process frame_p50_ms entries of
@@ -90,6 +88,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_http_json(out, &runs).expect("write json");
+    write_http_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

@@ -19,15 +19,10 @@
 //! keeps a k > 1 configuration.
 
 use rnnhm_bench::placement::{compare_placement_paths, write_placement_json, PlacementBench};
+use rnnhm_bench::runner::cli;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_placement.json");
+    let (quick, out) = cli("BENCH_placement.json");
 
     // (n_clients, candidates, greedy steps, k)
     let configs: &[(usize, usize, usize, usize)] = if quick {
@@ -67,6 +62,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_placement_json(out, &runs).expect("write json");
+    write_placement_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

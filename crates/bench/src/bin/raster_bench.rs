@@ -15,15 +15,10 @@
 //! keeps the full k ∈ {1, 4, 16} sweep.
 
 use rnnhm_bench::raster::{compare_raster_paths_k, write_raster_json, RasterComparison};
+use rnnhm_bench::runner::cli;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_raster.json");
+    let (quick, out) = cli("BENCH_raster.json");
 
     // (n_clients, grid px, k)
     let configs: &[(usize, usize, usize)] = if quick {
@@ -50,6 +45,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_raster_json(out, &runs).expect("write json");
+    write_raster_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

@@ -12,16 +12,11 @@
 //! and warm coarse pans in the millisecond range. `--quick` shrinks to
 //! n = 10k for CI smoke runs.
 
+use rnnhm_bench::runner::cli;
 use rnnhm_bench::scale::{run_scale, write_scale_json, ScaleRun};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_scale.json");
+    let (quick, out) = cli("BENCH_scale.json");
 
     let ns: &[usize] = if quick { &[10_000] } else { &[100_000, 500_000, 2_000_000] };
 
@@ -57,6 +52,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_scale_json(out, &runs).expect("write json");
+    write_scale_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

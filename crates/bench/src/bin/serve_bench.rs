@@ -19,16 +19,11 @@
 //! `--quick` shrinks the grid for CI-scale runs (the throughput bar is
 //! only asserted at full scale, where timing noise is amortized).
 
+use rnnhm_bench::runner::cli;
 use rnnhm_bench::serve::{compare_serve_paths, write_serve_json, ServeComparison};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_serve.json");
+    let (quick, out) = cli("BENCH_serve.json");
 
     // (n_clients, viewport px, tile px, sessions, frames per session)
     let configs: &[(usize, usize, usize, usize, usize)] = if quick {
@@ -76,6 +71,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_serve_json(out, &runs).expect("write json");
+    write_serve_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

@@ -14,16 +14,11 @@
 //! is a warm-cache pan ≥ 3× faster than the full re-render,
 //! bit-identical output. `--quick` shrinks the grid for CI-scale runs.
 
+use rnnhm_bench::runner::cli;
 use rnnhm_bench::tiles::{compare_tile_paths, write_tiles_json, TileComparison};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_tiles.json");
+    let (quick, out) = cli("BENCH_tiles.json");
 
     // (n_clients, viewport px, tile px)
     let configs: &[(usize, usize, usize)] = if quick {
@@ -60,6 +55,6 @@ fn main() {
         runs.push(r);
     }
 
-    write_tiles_json(out, &runs).expect("write json");
+    write_tiles_json(&out, &runs).expect("write json");
     eprintln!("wrote {out}");
 }

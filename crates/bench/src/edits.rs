@@ -5,7 +5,7 @@
 //! The what-if scenario (ISSUE 3): an analyst holds a viewport open
 //! and scripts 16 facility edits — adds, moves, removes — around it.
 //! Per step the *edit path* applies the edit incrementally
-//! (`RnnHeatMap::{add,move,remove}_facility`: arrangement maintenance
+//! (`Session::{add,move,remove}_facility`: arrangement maintenance
 //! plus targeted tile invalidation) and re-renders the same viewport
 //! (only the invalidated tiles rasterize). The *rebuild path* —
 //! what the repo did before this subsystem — recomputes every
@@ -20,9 +20,9 @@ use rnnhm_core::arrangement::{build_square_arrangement_k, Mode};
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_core::parallel::effective_parallelism;
 use rnnhm_geom::{Metric, Point, Rect};
-use rnnhm_heatmap::scanline::rasterize_squares_scanline;
+use rnnhm_heatmap::compute::rasterize_squares;
 
-use crate::runner::{bit_identical, ms};
+use crate::runner::{bit_identical, ms, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 use rnn_heatmap::HeatMapBuilder;
 
@@ -78,21 +78,10 @@ fn median(samples: &[f64]) -> f64 {
 }
 
 /// Runs the edit-churn scenario on a Uniform workload under the count
-/// measure and the L∞ metric. `ratio` is `|O|/|F|` as in the paper's
-/// sweeps.
-pub fn compare_edit_paths(
-    n_clients: usize,
-    ratio: usize,
-    view_px: usize,
-    tile_px: usize,
-    seed: u64,
-) -> EditChurn {
-    compare_edit_paths_k(n_clients, ratio, view_px, tile_px, seed, 1)
-}
-
-/// [`compare_edit_paths`] at RkNN depth `k`: the rebuild path
-/// recomputes every client's `k`-NN from scratch, the edit path
-/// maintains the `k`-NN candidate lists incrementally.
+/// measure and the L∞ metric at RkNN depth `k`. `ratio` is `|O|/|F|`
+/// as in the paper's sweeps. The rebuild path recomputes every
+/// client's `k`-NN from scratch, the edit path maintains the `k`-NN
+/// candidate lists incrementally.
 pub fn compare_edit_paths_k(
     n_clients: usize,
     ratio: usize,
@@ -133,7 +122,7 @@ pub fn compare_edit_paths_k(
     let mut rebuild_ms = Vec::with_capacity(EDIT_STEPS);
     let mut identical = true;
     let mut added: Vec<u32> = Vec::new();
-    let misses_before_script = map.tile_cache_stats().misses;
+    let misses_before_script = map.cache_stats().misses;
     for step in 0..EDIT_STEPS {
         // Edit path: apply one edit, re-render the (warm) viewport.
         let p = site();
@@ -175,7 +164,7 @@ pub fn compare_edit_paths_k(
             k,
         )
         .expect("non-empty instance");
-        let full = rasterize_squares_scanline(&arr, &CountMeasure, frame.spec);
+        let full = rasterize_squares(&arr, &CountMeasure, frame.spec);
         rebuild_ms.push(ms(start));
 
         identical &= bit_identical(&frame, &full);
@@ -185,7 +174,7 @@ pub fn compare_edit_paths_k(
         drop(full);
     }
 
-    let stats = map.tile_cache_stats();
+    let stats = map.cache_stats();
     let edit_median_ms = median(&edit_ms);
     let rebuild_median_ms = median(&rebuild_ms);
     EditChurn {
@@ -211,21 +200,15 @@ pub fn compare_edit_paths_k(
 /// Writes edit-churn results as JSON (hand-rolled; the environment has
 /// no serde) to `path`.
 pub fn write_edits_json(path: &str, runs: &[EditChurn]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(
-        f,
-        "  \"benchmark\": \"edit churn: incremental facility edits + warm viewport vs full rebuild\","
-    )?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"metric\": \"Linf\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(f, "  \"script\": \"interleaved add/move/remove\",")?;
-    writeln!(f, "  \"acceptance\": \"median speedup >= 5x, bit-identical frames\",")?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"edit churn: incremental facility edits + warm viewport vs full rebuild\"",
+        "\"measure\": \"count\"",
+        "\"metric\": \"Linf\"",
+        "\"dataset\": \"Uniform\"",
+        "\"script\": \"interleaved add/move/remove\"",
+        "\"acceptance\": \"median speedup >= 5x, bit-identical frames\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"k\": {},", r.k)?;
         writeln!(f, "      \"n_facilities\": {},", r.n_facilities)?;
@@ -242,11 +225,8 @@ pub fn write_edits_json(path: &str, runs: &[EditChurn]) -> std::io::Result<()> {
         writeln!(f, "      \"tiles_rerendered\": {},", r.tiles_rerendered)?;
         writeln!(f, "      \"tiles_per_viewport\": {},", r.tiles_total)?;
         writeln!(f, "      \"bit_identical\": {}", r.identical)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -255,7 +235,7 @@ mod tests {
 
     #[test]
     fn small_edit_churn_runs_and_agrees() {
-        let r = compare_edit_paths(512, 16, 96, 32, 7);
+        let r = compare_edit_paths_k(512, 16, 96, 32, 7, 1);
         assert!(r.identical, "every warm frame must match the rebuild bit for bit");
         assert_eq!(r.steps, EDIT_STEPS);
         assert!(r.tiles_invalidated > 0, "edits inside the viewport must dirty tiles");
@@ -277,7 +257,7 @@ mod tests {
 
     #[test]
     fn edits_json_emitter_produces_valid_shape() {
-        let r = compare_edit_paths(128, 8, 48, 16, 9);
+        let r = compare_edit_paths_k(128, 8, 48, 16, 9, 1);
         let path = std::env::temp_dir().join("bench_edits_test.json");
         let path = path.to_str().unwrap();
         write_edits_json(path, &[r]).unwrap();

@@ -40,6 +40,7 @@ use rnnhm_core::measure::CountMeasure;
 use rnnhm_core::parallel::effective_parallelism;
 use rnnhm_serve::{serve, Server, ServerConfig};
 
+use crate::runner::{percentile, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 // ---------------------------------------------------------------- client
@@ -79,34 +80,16 @@ fn parse_reply(bytes: &[u8]) -> Option<Reply> {
     Some(Reply { status, headers, body: bytes[head_end + 4..].to_vec() })
 }
 
-/// One connection-per-request GET; `Ok(None)` means the reply was torn
-/// or the connection was dropped server-side.
-fn http_get(addr: SocketAddr, target: &str) -> std::io::Result<Option<Reply>> {
+/// One connection-per-request exchange; `Ok(None)` means the reply
+/// was torn or the connection was dropped server-side.
+fn http(addr: SocketAddr, method: &str, target: &str) -> std::io::Result<Option<Reply>> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
-    let req = format!("GET {target} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
+    let req = format!("{method} {target} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
     stream.write_all(req.as_bytes())?;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) if !buf.is_empty() => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(parse_reply(&buf))
-}
-
-fn http_post(addr: SocketAddr, target: &str) -> std::io::Result<Option<Reply>> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let req = format!("POST {target} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes())?;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
     loop {
         match stream.read(&mut chunk) {
             Ok(0) => break,
@@ -243,7 +226,7 @@ fn user_loop(
         // service rate.
         for attempt in 0..32u32 {
             let start = rnnhm_core::clock::now();
-            let reply = match http_get(addr, &target) {
+            let reply = match http(addr, "GET", &target) {
                 Ok(Some(r)) => r,
                 // Torn reply or transient connect failure: back off
                 // and retry like a shed.
@@ -353,14 +336,6 @@ pub struct HttpLoadResult {
     pub panics_isolated: bool,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn parse_session_id(body: &[u8]) -> u64 {
     let text = std::str::from_utf8(body).expect("session JSON is UTF-8");
     let rest = text.split("\"session\":").nth(1).expect("session id field");
@@ -394,7 +369,7 @@ fn measure_shed_latency(
             let stop = &stop;
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let _ = http_get(addr, clog);
+                    let _ = http(addr, "GET", clog);
                 }
             });
         }
@@ -403,7 +378,7 @@ fn measure_shed_latency(
         let mut seen = 0usize;
         while seen < probes {
             let start = rnnhm_core::clock::now();
-            if let Ok(Some(reply)) = http_get(addr, "/healthz") {
+            if let Ok(Some(reply)) = http(addr, "GET", "/healthz") {
                 if reply.status == 503 {
                     shed_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 }
@@ -445,7 +420,7 @@ fn chaos_phase(
                         _ => viewport_target(session, rect, view_px),
                     };
                     // Every failure mode is expected mid-storm.
-                    let _ = http_get(addr, &target);
+                    let _ = http(addr, "GET", &target);
                 }
             });
         }
@@ -461,7 +436,7 @@ fn chaos_phase(
         let handles: Vec<_> = (0..16)
             .map(|_| {
                 scope.spawn(
-                    move || matches!(http_get(addr, "/healthz"), Ok(Some(r)) if r.status == 200),
+                    move || matches!(http(addr, "GET", "/healthz"), Ok(Some(r)) if r.status == 200),
                 )
             })
             .collect();
@@ -508,12 +483,12 @@ pub fn run_http_load(
     // Divergently-edited sessions over HTTP, plus the pristine root.
     let mut session_ids: Vec<u64> = vec![rnnhm_serve::ROOT_SESSION];
     for s in 0..sessions {
-        let created = http_post(addr, "/session").expect("create").expect("reply");
+        let created = http(addr, "POST", "/session").expect("create").expect("reply");
         assert_eq!(created.status, 200, "session create failed");
         let id = parse_session_id(&created.body);
         let site = (0.30 + 0.12 * (s % 4) as f64, 0.42 + 0.05 * (s / 4) as f64);
         let edit = format!("/session/{id}/edit?op=add&x={}&y={}", site.0, site.1);
-        let edited = http_post(addr, &edit).expect("edit").expect("reply");
+        let edited = http(addr, "POST", &edit).expect("edit").expect("reply");
         assert_eq!(edited.status, 200, "divergent edit failed");
         session_ids.push(id);
     }
@@ -532,8 +507,9 @@ pub fn run_http_load(
     };
     for (idx, &sid) in session_ids.iter().enumerate() {
         for rect in rect_script(idx) {
-            let reply =
-                http_get(addr, &viewport_target(sid, rect, view_px)).expect("warm").expect("reply");
+            let reply = http(addr, "GET", &viewport_target(sid, rect, view_px))
+                .expect("warm")
+                .expect("reply");
             assert_eq!(reply.status, 200, "warm-up render failed");
         }
     }
@@ -607,7 +583,7 @@ pub fn run_http_load(
     // preview (X-Degraded), not stall until the render finishes.
     server.fault().delay_render_every(1, Duration::from_millis(700));
     let cold = Rect::new(0.55, 0.95, 0.55, 0.95);
-    let probe = http_get(addr, &viewport_target(rnnhm_serve::ROOT_SESSION, cold, view_px))
+    let probe = http(addr, "GET", &viewport_target(rnnhm_serve::ROOT_SESSION, cold, view_px))
         .expect("degradation probe")
         .expect("reply");
     assert_eq!(probe.status, 200, "degraded viewports still serve");
@@ -660,27 +636,15 @@ pub fn run_http_load(
 /// Writes HTTP load results as JSON (hand-rolled; the environment has
 /// no serde) to `path`.
 pub fn write_http_json(path: &str, runs: &[HttpLoadResult]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(
-        f,
-        "  \"benchmark\": \"HTTP serving front end under concurrent users, faults, and overload\","
-    )?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"metric\": \"Linf\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(
-        f,
-        "  \"scenario\": \"warm pan script over divergently-edited sessions; jittered exponential retry on 503\","
-    )?;
-    writeln!(
-        f,
-        "  \"acceptance\": \"zero torn frames, zero failed requests, shed p50 < 1 ms, warm-tile p50 within 2x of BENCH_serve, workers survive chaos\","
-    )?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"HTTP serving front end under concurrent users, faults, and overload\"",
+        "\"measure\": \"count\"",
+        "\"metric\": \"Linf\"",
+        "\"dataset\": \"Uniform\"",
+        "\"scenario\": \"warm pan script over divergently-edited sessions; jittered exponential retry on 503\"",
+        "\"acceptance\": \"zero torn frames, zero failed requests, shed p50 < 1 ms, warm-tile p50 within 2x of BENCH_serve, workers survive chaos\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"sessions\": {},", r.sessions)?;
         writeln!(f, "      \"users\": {},", r.users)?;
@@ -712,11 +676,8 @@ pub fn write_http_json(path: &str, runs: &[HttpLoadResult]) -> std::io::Result<(
         writeln!(f, "      \"chaos_truncations\": {},", r.chaos_truncations)?;
         writeln!(f, "      \"pool_alive_after_chaos\": {},", r.pool_alive_after_chaos)?;
         writeln!(f, "      \"panics_isolated\": {}", r.panics_isolated)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

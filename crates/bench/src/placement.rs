@@ -26,7 +26,7 @@ use rnnhm_core::sink::MaxSink;
 use rnnhm_core::snapshot::ArrangementSnapshot;
 use rnnhm_geom::{Metric, Point};
 
-use crate::runner::ms;
+use crate::runner::{ms, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 /// Wall-clock results of one placement-bench run.
@@ -182,25 +182,16 @@ pub fn compare_placement_paths(
 /// Writes placement-bench results as JSON (hand-rolled; the
 /// environment has no serde) to `path`.
 pub fn write_placement_json(path: &str, runs: &[PlacementBench]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(
-        f,
-        "  \"benchmark\": \"placement: incremental candidate evaluation + greedy loop vs \
-         rebuild-per-candidate\","
-    )?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"metric\": \"Linf\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(
-        f,
-        "  \"acceptance\": \"incremental evaluation >= 5x rebuild at n=100k, bitwise-equal \
-         influences\","
-    )?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"placement: incremental candidate evaluation + greedy loop vs \
+         rebuild-per-candidate\"",
+        "\"measure\": \"count\"",
+        "\"metric\": \"Linf\"",
+        "\"dataset\": \"Uniform\"",
+        "\"acceptance\": \"incremental evaluation >= 5x rebuild at n=100k, bitwise-equal \
+         influences\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"k\": {},", r.k)?;
         writeln!(f, "      \"n_facilities\": {},", r.n_facilities)?;
@@ -215,11 +206,8 @@ pub fn write_placement_json(path: &str, runs: &[PlacementBench]) -> std::io::Res
         writeln!(f, "      \"greedy_rebuild_ms\": {:.3},", r.greedy_rebuild_ms)?;
         writeln!(f, "      \"greedy_speedup\": {:.2},", r.greedy_speedup)?;
         writeln!(f, "      \"identical\": {}", r.identical)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! The scanline engine's acceptance bar (ISSUE 1) is ≥ 5× over the
 //! per-pixel-stab oracle at a 1024×1024 grid with n = 100k clients,
-//! outputs bit-identical. The [`compare_raster_paths`] runner measures
+//! outputs bit-identical. The [`compare_raster_paths_k`] runner measures
 //! exactly that configuration (and any smaller one) on the Uniform
 //! dataset, and [`write_raster_json`] records the numbers.
 
@@ -11,11 +11,12 @@ use std::io::Write as _;
 
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_geom::{Metric, Rect};
-use rnnhm_heatmap::compute::{rasterize_count_squares_fast, rasterize_squares_oracle};
-use rnnhm_heatmap::scanline::rasterize_squares_scanline;
+use rnnhm_heatmap::compute::{
+    rasterize_count_squares_fast, rasterize_squares, rasterize_squares_oracle,
+};
 use rnnhm_heatmap::GridSpec;
 
-use crate::runner::{bit_identical, ms, square_arrangement_k};
+use crate::runner::{bit_identical, ms, square_arrangement_k, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 /// Wall-clock results of one raster comparison run.
@@ -44,24 +45,14 @@ pub struct RasterComparison {
 }
 
 /// Times the three raster paths on a Uniform workload under the count
-/// measure and verifies scanline/oracle bit-identity.
+/// measure at RkNN depth `k` and verifies scanline/oracle
+/// bit-identity.
 ///
 /// The arrangement build is untimed (the paper's convention: NN-circles
 /// are precomputed). `ratio` is `|O|/|F|` as in the paper's sweeps.
-pub fn compare_raster_paths(
-    n_clients: usize,
-    ratio: usize,
-    width: usize,
-    height: usize,
-    seed: u64,
-) -> RasterComparison {
-    compare_raster_paths_k(n_clients, ratio, width, height, seed, 1)
-}
-
-/// [`compare_raster_paths`] at RkNN depth `k`: circles grow to the
-/// `k`-th NN distance, so overlap density — the scanline engine's
-/// stress axis — rises with `k` while the oracle's per-pixel stab cost
-/// rises with it too.
+/// Circles grow to the `k`-th NN distance, so overlap density — the
+/// scanline engine's stress axis — rises with `k` while the oracle's
+/// per-pixel stab cost rises with it too.
 pub fn compare_raster_paths_k(
     n_clients: usize,
     ratio: usize,
@@ -76,7 +67,7 @@ pub fn compare_raster_paths_k(
     let spec = GridSpec::new(width, height, extent);
 
     let start = rnnhm_core::clock::now();
-    let scan = rasterize_squares_scanline(&arr, &CountMeasure, spec);
+    let scan = rasterize_squares(&arr, &CountMeasure, spec);
     let scanline_ms = ms(start);
 
     let start = rnnhm_core::clock::now();
@@ -106,15 +97,12 @@ pub fn compare_raster_paths_k(
 /// Writes comparison results as JSON (hand-rolled; the environment has
 /// no serde) to `path`.
 pub fn write_raster_json(path: &str, runs: &[RasterComparison]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"scanline raster vs per-pixel oracle\",")?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"scanline raster vs per-pixel oracle\"",
+        "\"measure\": \"count\"",
+        "\"dataset\": \"Uniform\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"k\": {},", r.k)?;
         writeln!(f, "      \"grid\": [{}, {}],", r.grid.0, r.grid.1)?;
@@ -124,11 +112,8 @@ pub fn write_raster_json(path: &str, runs: &[RasterComparison]) -> std::io::Resu
         writeln!(f, "      \"fast_count_ms\": {:.3},", r.fast_count_ms)?;
         writeln!(f, "      \"speedup_oracle_over_scanline\": {:.2},", r.speedup)?;
         writeln!(f, "      \"bit_identical\": {}", r.identical)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -137,7 +122,7 @@ mod tests {
 
     #[test]
     fn small_comparison_runs_and_agrees() {
-        let r = compare_raster_paths(512, 16, 64, 64, 7);
+        let r = compare_raster_paths_k(512, 16, 64, 64, 7, 1);
         assert!(r.identical, "scanline must match the oracle bit for bit");
         assert!(r.oracle_ms > 0.0 && r.scanline_ms > 0.0);
         assert_eq!(r.k, 1);
@@ -154,7 +139,7 @@ mod tests {
 
     #[test]
     fn json_emitter_produces_valid_shape() {
-        let r = compare_raster_paths(128, 8, 32, 32, 9);
+        let r = compare_raster_paths_k(128, 8, 32, 32, 9, 1);
         let path = std::env::temp_dir().join("bench_raster_test.json");
         let path = path.to_str().unwrap();
         write_raster_json(path, &[r]).unwrap();

@@ -5,6 +5,7 @@
 //! precomputed", §III-B): timings cover the region-coloring algorithms
 //! themselves.
 
+use std::io::Write as _;
 use std::time::Instant;
 
 use rnnhm_core::arrangement::{
@@ -15,7 +16,7 @@ use rnnhm_core::baseline::{baseline_cell_count, baseline_sweep};
 use rnnhm_core::crest::{crest_a_sweep, crest_sweep};
 use rnnhm_core::measure::{CapacityMeasure, CountMeasure, InfluenceMeasure};
 use rnnhm_core::pruning::{crest_l2_max_region, pruning_max_region, PruningConfig};
-use rnnhm_core::sink::{MaterializeSink, MaxSink};
+use rnnhm_core::sink::MaterializeSink;
 use rnnhm_core::stats::SweepStats;
 use rnnhm_geom::Metric;
 use rnnhm_index::KdTree;
@@ -128,14 +129,6 @@ pub fn run_crest_l2_max<M: InfluenceMeasure>(arr: &DiskArrangement, measure: &M)
     Timing { algo: "CREST-L2", millis: Some(ms(start)), stats }
 }
 
-/// Times CREST-L2 building the full heat map (not just the max region).
-pub fn run_crest_l2_full<M: InfluenceMeasure>(arr: &DiskArrangement, measure: &M) -> Timing {
-    let start = rnnhm_core::clock::now();
-    let mut sink = MaxSink::default();
-    let stats = rnnhm_core::crest_l2::crest_l2_sweep(arr, measure, &mut sink);
-    Timing { algo: "CREST-L2", millis: Some(ms(start)), stats }
-}
-
 /// Times the pruning comparator on the max-influence-region task.
 ///
 /// `node_budget` bounds the exponential enumeration per anchor circle;
@@ -175,6 +168,49 @@ pub fn csv_row(dataset: &str, x_label: &str, x: u64, timings: &[Timing]) -> Stri
 /// Count measure shorthand for the harness.
 pub fn count() -> CountMeasure {
     CountMeasure
+}
+
+/// The `p`-quantile (nearest rank) of ascending `sorted`; 0 when empty.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Writes a BENCH JSON file: the `header` fields (each a complete
+/// `"key": value` pair), then a `"runs"` array holding one object per
+/// run, whose field lines `fields` writes.
+pub fn write_bench_json<R>(
+    path: &str,
+    header: &[&str],
+    runs: &[R],
+    fields: impl Fn(&mut std::fs::File, &R) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut f = std::fs::File::create(path)?;
+    writeln!(f, "{{")?;
+    for field in header {
+        writeln!(f, "  {field},")?;
+    }
+    writeln!(f, "  \"runs\": [")?;
+    for (i, r) in runs.iter().enumerate() {
+        writeln!(f, "    {{")?;
+        fields(&mut f, r)?;
+        writeln!(f, "    }}{}", if i + 1 < runs.len() { "," } else { "" })?;
+    }
+    writeln!(f, "  ]")?;
+    writeln!(f, "}}")
+}
+
+/// The bench binaries' command line, `[--quick] [positional]`: whether
+/// `--quick` was given, and the first non-flag argument (else
+/// `default`).
+pub fn cli(default: &str) -> (bool, String) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let positional = args.into_iter().find(|a| !a.starts_with("--"));
+    (quick, positional.unwrap_or_else(|| default.to_string()))
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
 use rnnhm_core::parallel::effective_parallelism;
 
-use crate::runner::ms;
+use crate::runner::{ms, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 /// Coarse pan steps at the country zoom.
@@ -94,7 +94,7 @@ pub fn run_scale(n_clients: usize, ratio: usize, shards: usize, seed: u64) -> Sc
     // Cold country view: whole extent at 512×512 px resolves to a zoom
     // below the threshold; the first request builds the whole pyramid.
     let start = rnnhm_core::clock::now();
-    let frame = session.viewport_frame(world, 512, 512);
+    let frame = session.viewport_frame(world, 512, 512, None);
     let cold_country_ms = ms(start);
     let (approx_served, error_bound) = match &frame {
         ViewportFrame::Approx { error_bound, .. } => (true, *error_bound),
@@ -114,7 +114,7 @@ pub fn run_scale(n_clients: usize, ratio: usize, shards: usize, seed: u64) -> Sc
             world.y_lo + 0.25 * ww,
             world.y_lo + 0.75 * ww,
         );
-        drop(session.viewport_frame(view, 256, 256));
+        drop(session.viewport_frame(view, 256, 256, None));
     }
     let warm_pan_ms = ms(start) / PAN_STEPS as f64;
 
@@ -127,7 +127,7 @@ pub fn run_scale(n_clients: usize, ratio: usize, shards: usize, seed: u64) -> Sc
         world.y_lo + 0.50 * ww,
         world.y_lo + 0.50 * ww + ww / 64.0,
     );
-    let exact = session.viewport_frame(street, 256, 256);
+    let exact = session.viewport_frame(street, 256, 256, None);
     let drill_down_ms = ms(start);
     assert!(matches!(exact, ViewportFrame::Exact(_)), "street-level viewports must stay exact");
     drop(exact);
@@ -138,7 +138,7 @@ pub fn run_scale(n_clients: usize, ratio: usize, shards: usize, seed: u64) -> Sc
     session.add_facility(Point::new(0.41, 0.59)).expect("in-bounds add");
     let edit_ms = ms(start);
     let start = rnnhm_core::clock::now();
-    drop(session.viewport_frame(world, 512, 512));
+    drop(session.viewport_frame(world, 512, 512, None));
     let repatch_ms = ms(start);
 
     let cstats = session.cache_stats();
@@ -169,16 +169,13 @@ pub fn run_scale(n_clients: usize, ratio: usize, shards: usize, seed: u64) -> Sc
 /// Writes scale results as JSON (hand-rolled; the environment has no
 /// serde) to `path`.
 pub fn write_scale_json(path: &str, runs: &[ScaleRun]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"millions-of-points: sharded build + LoD pyramid serving\",")?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(f, "  \"pan_steps\": {PAN_STEPS},")?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"millions-of-points: sharded build + LoD pyramid serving\"",
+        "\"measure\": \"count\"",
+        "\"dataset\": \"Uniform\"",
+        &format!("\"pan_steps\": {PAN_STEPS}"),
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"ratio\": {},", r.ratio)?;
         writeln!(f, "      \"shards\": {},", r.shards)?;
@@ -195,11 +192,8 @@ pub fn write_scale_json(path: &str, runs: &[ScaleRun]) -> std::io::Result<()> {
         writeln!(f, "      \"bytes_per_tile\": {:.1},", r.bytes_per_tile)?;
         writeln!(f, "      \"bytes_quantized\": {},", r.bytes_quantized)?;
         writeln!(f, "      \"bytes_exact\": {}", r.bytes_exact)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

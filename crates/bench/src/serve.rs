@@ -31,7 +31,7 @@ use rnn_heatmap::{HeatMapBuilder, Session};
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_core::parallel::effective_parallelism;
 
-use crate::runner::bit_identical;
+use crate::runner::{bit_identical, percentile, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 /// One camera/edit step of the per-session traffic script.
@@ -140,11 +140,6 @@ pub struct ServeComparison {
     /// Whether every checkpoint frame was bit-identical to a one-shot
     /// render of its session's snapshot (and all herd frames agreed).
     pub identical: bool,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs the serve scenario on a Uniform workload under the count
@@ -299,24 +294,15 @@ pub fn compare_serve_paths(
 /// Writes serve results as JSON (hand-rolled; the environment has no
 /// serde) to `path`.
 pub fn write_serve_json(path: &str, runs: &[ServeComparison]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(
-        f,
-        "  \"benchmark\": \"concurrent serving: M snapshot-isolated sessions vs sequential single-session\","
-    )?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"metric\": \"Linf\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(f, "  \"script\": \"pan/zoom camera path + one divergent edit per session\",")?;
-    writeln!(
-        f,
-        "  \"acceptance\": \"engine throughput >= 0.9x sequential baseline, herd dedups > 0, bit-identical frames\","
-    )?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"concurrent serving: M snapshot-isolated sessions vs sequential single-session\"",
+        "\"measure\": \"count\"",
+        "\"metric\": \"Linf\"",
+        "\"dataset\": \"Uniform\"",
+        "\"script\": \"pan/zoom camera path + one divergent edit per session\"",
+        "\"acceptance\": \"engine throughput >= 0.9x sequential baseline, herd dedups > 0, bit-identical frames\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"sessions\": {},", r.sessions)?;
         writeln!(f, "      \"frames_per_session\": {},", r.frames_per_session)?;
@@ -333,11 +319,8 @@ pub fn write_serve_json(path: &str, runs: &[ServeComparison]) -> std::io::Result
         writeln!(f, "      \"herd_single_flight_waits\": {},", r.herd_waits)?;
         writeln!(f, "      \"herd_single_flight_dedups\": {},", r.herd_dedups)?;
         writeln!(f, "      \"bit_identical\": {}", r.identical)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

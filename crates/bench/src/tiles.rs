@@ -17,11 +17,12 @@ use std::io::Write as _;
 use rnnhm_core::measure::{CountMeasure, InfluenceMeasure};
 use rnnhm_core::parallel::effective_parallelism;
 use rnnhm_geom::{Metric, Rect};
+use rnnhm_heatmap::compute::rasterize_squares;
 use rnnhm_heatmap::quant::TilePayload;
-use rnnhm_heatmap::scanline::{rasterize_squares_scanline, rasterize_squares_scanline_bands};
+use rnnhm_heatmap::scanline::rasterize_squares_scanline_bands;
 use rnnhm_heatmap::tiles::{TileCache, TileScheme};
 
-use crate::runner::{bit_identical, ms, square_arrangement};
+use crate::runner::{bit_identical, ms, square_arrangement, write_bench_json};
 use crate::workload::{build_workload, DatasetKind};
 
 /// Number of drag steps; together they pan one full viewport width.
@@ -48,17 +49,17 @@ pub struct TileComparison {
     /// Worker threads available to tile rendering.
     pub threads: usize,
     /// First viewport, empty cache: render every covering tile + stitch.
-    /// Median over [`REPS`] fresh-cache repetitions.
+    /// Median over `REPS` fresh-cache repetitions.
     pub cold_ms: f64,
     /// Quarter-viewport jump (75% area overlap): cached tiles plus the
-    /// newly exposed tile columns, stitched. Median over [`REPS`].
+    /// newly exposed tile columns, stitched. Median over `REPS`.
     pub warm_jump_ms: f64,
     /// Mean per-frame time over the 16-step drag (each step ≥ 93% tile
     /// overlap with the previous frame) — the headline warm-pan cost.
-    /// Median over [`REPS`].
+    /// Median over `REPS`.
     pub warm_pan_ms: f64,
     /// Uncached one-shot scanline render of the final viewport's spec
-    /// (the pre-tile full-frame path). Median over [`REPS`].
+    /// (the pre-tile full-frame path). Median over `REPS`.
     pub full_ms: f64,
     /// `full_ms / warm_pan_ms` — the acceptance metric.
     pub speedup_warm_vs_full: f64,
@@ -187,7 +188,7 @@ pub fn compare_tile_paths(
         // exact spec the final warm frame produced (the pre-tile
         // full-frame path, identical output required).
         let start = rnnhm_core::clock::now();
-        let one_shot = rasterize_squares_scanline(&arr, &CountMeasure, raster_last.spec);
+        let one_shot = rasterize_squares(&arr, &CountMeasure, raster_last.spec);
         let full_ms = ms(start);
 
         let identical = bit_identical(&raster_last, &one_shot);
@@ -251,22 +252,16 @@ pub fn compare_tile_paths(
 /// Writes comparison results as JSON (hand-rolled; the environment has
 /// no serde) to `path`.
 pub fn write_tiles_json(path: &str, runs: &[TileComparison]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(
-        f,
-        "  \"benchmark\": \"tile pyramid: cold viewport vs warm pans vs full re-render\","
-    )?;
-    writeln!(f, "  \"measure\": \"count\",")?;
-    writeln!(f, "  \"dataset\": \"Uniform\",")?;
-    writeln!(f, "  \"jump_overlap\": 0.75,")?;
-    writeln!(f, "  \"drag_steps\": {DRAG_STEPS},")?;
-    writeln!(f, "  \"reps\": {REPS},")?;
-    writeln!(f, "  \"timing\": \"per-metric median across reps\",")?;
-    writeln!(f, "  \"runs\": [")?;
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        writeln!(f, "    {{")?;
+    let header: &[&str] = &[
+        "\"benchmark\": \"tile pyramid: cold viewport vs warm pans vs full re-render\"",
+        "\"measure\": \"count\"",
+        "\"dataset\": \"Uniform\"",
+        "\"jump_overlap\": 0.75",
+        &format!("\"drag_steps\": {DRAG_STEPS}"),
+        &format!("\"reps\": {REPS}"),
+        "\"timing\": \"per-metric median across reps\"",
+    ];
+    write_bench_json(path, header, runs, |f, r| {
         writeln!(f, "      \"n_clients\": {},", r.n_clients)?;
         writeln!(f, "      \"view_px\": {},", r.view_px)?;
         writeln!(f, "      \"tile_px\": {},", r.tile_px)?;
@@ -287,11 +282,8 @@ pub fn write_tiles_json(path: &str, runs: &[TileComparison]) -> std::io::Result<
         writeln!(f, "      \"bytes_exact\": {},", r.bytes_exact)?;
         writeln!(f, "      \"effective_capacity_tiles\": {},", r.effective_capacity_tiles)?;
         writeln!(f, "      \"bit_identical\": {}", r.identical)?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -62,6 +62,28 @@ impl CoordSpace {
             CoordSpace::Rotated45 => unrotate45(p),
         }
     }
+
+    /// Bounding box, in sweep space, of an input-space rectangle.
+    pub fn sweep_bbox(&self, r: Rect) -> Rect {
+        match self {
+            CoordSpace::Identity => r,
+            CoordSpace::Rotated45 => corner_bbox(r, rotate45),
+        }
+    }
+
+    /// Bounding box, in input space, of a sweep-space rectangle.
+    pub fn original_bbox(&self, r: Rect) -> Rect {
+        match self {
+            CoordSpace::Identity => r,
+            CoordSpace::Rotated45 => corner_bbox(r, unrotate45),
+        }
+    }
+}
+
+/// Bounding box of `r`'s four corners mapped through `f`.
+fn corner_bbox(r: Rect, f: fn(Point) -> Point) -> Rect {
+    let corners = [(r.x_lo, r.y_lo), (r.x_lo, r.y_hi), (r.x_hi, r.y_lo), (r.x_hi, r.y_hi)];
+    Rect::bounding(&corners.map(|(x, y)| f(Point::new(x, y)))).expect("four corners")
 }
 
 /// An arrangement of square NN-circles (L∞ directly, L1 after rotation).
@@ -147,18 +169,7 @@ impl SquareArrangement {
     /// work instead of `O(n)` *setup* per tile
     /// (`rnnhm_heatmap::tiles`).
     pub fn restrict_to(&self, extent: Rect) -> SquareArrangement {
-        let window = match self.space {
-            CoordSpace::Identity => extent,
-            CoordSpace::Rotated45 => {
-                let corners = [
-                    rotate45(Point::new(extent.x_lo, extent.y_lo)),
-                    rotate45(Point::new(extent.x_lo, extent.y_hi)),
-                    rotate45(Point::new(extent.x_hi, extent.y_lo)),
-                    rotate45(Point::new(extent.x_hi, extent.y_hi)),
-                ];
-                Rect::bounding(&corners).expect("four corners")
-            }
-        };
+        let window = self.space.sweep_bbox(extent);
         let mut squares = Vec::new();
         let mut owners = Vec::new();
         for (s, &o) in self.squares.iter().zip(&self.owners) {
@@ -272,7 +283,7 @@ impl DiskArrangement {
 /// `facilities` is ignored, each client's NN is its nearest *other*
 /// client, and `id` indexes `clients`. The distances are exactly what
 /// the arrangement builders use as NN-circle radii; the ids let
-/// [`crate::edit::DynamicArrangement`] maintain the assignment
+/// [`crate::snapshot::ArrangementSnapshot`] maintain the assignment
 /// incrementally under facility edits.
 pub fn nn_assignments(
     clients: &[Point],

@@ -43,7 +43,7 @@ pub trait InfluenceMeasure {
     /// given the previous membership `old_rnn` and its previous
     /// influence `old_influence`.
     ///
-    /// What-if facility edits (`crate::edit::DynamicArrangement`)
+    /// What-if facility edits (`crate::edit`)
     /// change few NN-circles, so most surviving labeled regions see a
     /// tiny membership delta; this hook lets their values update
     /// without re-evaluating the measure on the whole set. The default

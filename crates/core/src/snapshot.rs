@@ -1,8 +1,7 @@
 //! Snapshot-isolated arrangements: immutable, cheaply shareable
 //! versions of an editable RkNN instance (the serving substrate).
 //!
-//! [`crate::edit::DynamicArrangement`] gives one user an editable
-//! instance. A *serving* engine needs more: many concurrent readers
+//! An editable RkNN instance has to serve many concurrent readers
 //! rendering viewports while editors explore divergent what-if
 //! branches of the same dataset. This module supplies the storage
 //! model that makes that safe and cheap:
@@ -22,10 +21,9 @@
 //!   client instance copies a few tens of kilobytes, not megabytes.
 //!
 //! The maintained geometry is **bitwise identical** to a from-scratch
-//! rebuild over the current facility set at every `k` — the edit logic
-//! is the same as `DynamicArrangement`'s (which is now a thin
-//! single-user editor over this type); the differential proof lives in
-//! `tests/edits_match_rebuild.rs` and `edit.rs`'s unit tests.
+//! rebuild over the current facility set at every `k` (the edit
+//! semantics are described in [`crate::edit`]); the differential proof
+//! lives in `tests/edits_match_rebuild.rs` and `edit.rs`'s unit tests.
 //!
 //! Sweeps, rasterizers and queries consume contiguous
 //! [`SquareArrangement`]/[`DiskArrangement`] slices; a snapshot
@@ -290,7 +288,9 @@ pub struct ArrangementSnapshot {
 }
 
 impl ArrangementSnapshot {
-    /// Builds the snapshot of an instance (`k = 1`).
+    /// Builds the snapshot of an instance (`k = 1`). Monochromatic
+    /// instances build fine but reject every edit with
+    /// [`EditError::ImmutableMode`].
     pub fn build(
         clients: Vec<Point>,
         facilities: Vec<Point>,
@@ -657,18 +657,7 @@ impl ArrangementSnapshot {
     pub fn restrict_to(&self, extent: Rect) -> RestrictedArrangement {
         match &self.shapes {
             ShapeStore::Square { squares, space } => {
-                let window = match space {
-                    CoordSpace::Identity => extent,
-                    CoordSpace::Rotated45 => {
-                        let corners = [
-                            rotate45(Point::new(extent.x_lo, extent.y_lo)),
-                            rotate45(Point::new(extent.x_lo, extent.y_hi)),
-                            rotate45(Point::new(extent.x_hi, extent.y_lo)),
-                            rotate45(Point::new(extent.x_hi, extent.y_hi)),
-                        ];
-                        Rect::bounding(&corners).expect("four corners")
-                    }
-                };
+                let window = space.sweep_bbox(extent);
                 let mut out_squares = Vec::new();
                 let mut out_owners = Vec::new();
                 if let Some(map) = &self.shards {
@@ -861,7 +850,10 @@ impl ArrangementSnapshot {
     }
 
     /// Adds a facility at `p`, returning the successor snapshot, the
-    /// new facility's id and what changed. `self` is untouched.
+    /// new facility's id and what changed: every client strictly
+    /// closer to `p` than to its current `k`-th NN admits `p` into its
+    /// `k`-NN set and (usually) shrinks its circle. `self` is
+    /// untouched.
     pub fn insert_facility(
         &self,
         p: Point,
@@ -895,7 +887,10 @@ impl ArrangementSnapshot {
     }
 
     /// Removes facility `id`, returning the successor snapshot and
-    /// what changed. `self` is untouched.
+    /// what changed. Exactly the clients whose `k`-NN set contained
+    /// `id` re-resolve their `k` nearest among the remaining
+    /// facilities and grow their circles; everyone else's `k` smallest
+    /// distances are provably unchanged. `self` is untouched.
     pub fn remove_facility(
         &self,
         id: u32,
@@ -921,8 +916,12 @@ impl ArrangementSnapshot {
         Ok((self.seal(next, &out), out))
     }
 
-    /// Moves facility `id` to `to` (remove + insert fused), returning
-    /// the successor snapshot and what changed. `self` is untouched.
+    /// Moves facility `id` to `to` (remove + insert fused into one
+    /// pass), returning the successor snapshot and what changed:
+    /// clients with `id` in their `k`-NN set re-resolve it (the set may
+    /// keep `id`), every other client checks whether `id`'s new
+    /// location undercuts its current `k`-th NN distance. `self` is
+    /// untouched.
     pub fn move_facility(
         &self,
         id: u32,

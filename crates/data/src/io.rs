@@ -5,7 +5,6 @@
 //! and to load user-provided POI files in place of the synthetic cities.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 use rnnhm_geom::Point;
 
@@ -62,16 +61,6 @@ pub fn read_points<R: Read>(r: R) -> io::Result<Vec<Point>> {
         out.push(Point::new(x, y));
     }
     Ok(out)
-}
-
-/// Writes points to a file path.
-pub fn save_points(path: &Path, points: &[Point]) -> io::Result<()> {
-    write_points(std::fs::File::create(path)?, points)
-}
-
-/// Reads points from a file path.
-pub fn load_points(path: &Path) -> io::Result<Vec<Point>> {
-    read_points(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]

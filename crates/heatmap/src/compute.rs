@@ -38,7 +38,9 @@ use rnnhm_geom::{Circle, Rect};
 use rnnhm_index::RTree;
 
 use crate::raster::{GridSpec, HeatRaster};
-use crate::scanline::{rasterize_disks_scanline, rasterize_squares_scanline};
+use crate::scanline::{
+    default_bands, rasterize_disks_scanline_bands, rasterize_squares_scanline_bands,
+};
 
 /// Exact rasterization of a square arrangement (L∞ or rotated L1) under
 /// any incremental influence measure — the row-parallel scanline path.
@@ -55,7 +57,7 @@ pub fn rasterize_squares<M: IncrementalMeasure + Sync>(
     measure: &M,
     spec: GridSpec,
 ) -> HeatRaster {
-    rasterize_squares_scanline(arr, measure, spec)
+    rasterize_squares_scanline_bands(arr, measure, spec, default_bands(spec.height))
 }
 
 /// Exact rasterization of a disk arrangement (L2) under any incremental
@@ -65,7 +67,7 @@ pub fn rasterize_disks<M: IncrementalMeasure + Sync>(
     measure: &M,
     spec: GridSpec,
 ) -> HeatRaster {
-    rasterize_disks_scanline(arr, measure, spec)
+    rasterize_disks_scanline_bands(arr, measure, spec, default_bands(spec.height))
 }
 
 /// Per-pixel-stab exact rasterization of a square arrangement — the

@@ -107,11 +107,6 @@ impl HeatMipmap {
         m
     }
 
-    /// Fingerprint of the [`TileScheme`] the pyramid was built for.
-    pub fn scheme_fingerprint(&self) -> u64 {
-        self.scheme_fp
-    }
-
     /// The zoom level the base was rendered exactly at.
     pub fn base_zoom(&self) -> u8 {
         self.base_zoom
@@ -131,11 +126,6 @@ impl HeatMipmap {
     /// Number of pyramid levels (`base_zoom + 1`).
     pub fn n_levels(&self) -> usize {
         self.mean.len()
-    }
-
-    /// Total heap footprint of the three pyramids, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        3 * self.mean.iter().map(|r| std::mem::size_of_val(r.values())).sum::<usize>()
     }
 
     /// Re-aggregates the cells `[c0, c1] × [r0, r1]` (inclusive) of

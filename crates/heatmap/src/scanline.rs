@@ -22,7 +22,7 @@
 //!    [`remove`] and evaluated once per *run* of equal-valued pixels,
 //!    not once per pixel.
 //! 3. **Row batching.** Adjacent rows of a band are pushed through the
-//!    same active-shape set in [`ROW_BATCH`]-row groups (the RT-RkNN
+//!    same active-shape set in `ROW_BATCH`-row groups (the RT-RkNN
 //!    ray-coherence idea: batch adjacent rays through one shape set).
 //!    For row-invariant shapes (axis-aligned squares) every shape
 //!    covering the whole batch contributes the *same* events to each
@@ -820,24 +820,18 @@ const MIN_ROWS_PER_BAND: usize = 32;
 
 /// Worker count for an `h`-row raster: all cores, but never bands
 /// smaller than [`MIN_ROWS_PER_BAND`] rows (tiny rasters run
-/// single-threaded — thread spawn would dominate the fill).
-fn default_bands(h: usize) -> usize {
-    effective_parallelism().min(h.div_ceil(MIN_ROWS_PER_BAND)).max(1)
+/// single-threaded — thread spawn would dominate the fill). The
+/// division floors: rounding up would let `h = 33` split into two
+/// 17-row bands.
+pub(crate) fn default_bands(h: usize) -> usize {
+    effective_parallelism().min(h / MIN_ROWS_PER_BAND).max(1)
 }
 
-/// Scanline rasterization of a square arrangement (L∞ or rotated L1),
-/// row-parallel across all cores. Default path behind
-/// [`crate::compute::rasterize_squares`].
-pub fn rasterize_squares_scanline<M: IncrementalMeasure + Sync>(
-    arr: &SquareArrangement,
-    measure: &M,
-    spec: GridSpec,
-) -> HeatRaster {
-    rasterize_squares_scanline_bands(arr, measure, spec, default_bands(spec.height))
-}
-
-/// [`rasterize_squares_scanline`] with an explicit band count (tests
-/// use this to exercise the multi-band path on any machine).
+/// Scanline rasterization of a square arrangement (L∞ or rotated L1)
+/// in `n_bands` row bands; [`crate::compute::rasterize_squares`] picks
+/// the band count for all cores, tiles render with one band, and tests
+/// use an explicit count to exercise the multi-band path on any
+/// machine.
 #[doc(hidden)]
 pub fn rasterize_squares_scanline_bands<M: IncrementalMeasure + Sync>(
     arr: &SquareArrangement,
@@ -878,18 +872,8 @@ fn squares_window_values<M: IncrementalMeasure + Sync>(
     }
 }
 
-/// Scanline rasterization of a disk arrangement (L2), row-parallel
-/// across all cores. Default path behind
-/// [`crate::compute::rasterize_disks`].
-pub fn rasterize_disks_scanline<M: IncrementalMeasure + Sync>(
-    arr: &DiskArrangement,
-    measure: &M,
-    spec: GridSpec,
-) -> HeatRaster {
-    rasterize_disks_scanline_bands(arr, measure, spec, default_bands(spec.height))
-}
-
-/// [`rasterize_disks_scanline`] with an explicit band count.
+/// Scanline rasterization of a disk arrangement (L2) in `n_bands` row
+/// bands; see [`rasterize_squares_scanline_bands`].
 #[doc(hidden)]
 pub fn rasterize_disks_scanline_bands<M: IncrementalMeasure + Sync>(
     arr: &DiskArrangement,
@@ -979,6 +963,24 @@ fn blit_window(
     }
 }
 
+/// Re-renders the covering pixel window of every rect of `dirty` and
+/// blits it into `raster`; `values` renders one window from the
+/// arrangement restricted to the given input-space extent.
+fn refresh_windows(
+    raster: &mut HeatRaster,
+    dirty: &rnnhm_core::edit::DirtyRegion,
+    values: impl Fn(Rect, &Grid) -> Vec<f64>,
+) {
+    let spec = raster.spec;
+    for rect in dirty.rects() {
+        if let Some((cols, rows)) = dirty_window(&spec, rect) {
+            let grid = Grid::window(spec, cols.clone(), rows.clone());
+            let window = values(window_extent(&spec, &cols, &rows), &grid);
+            blit_window(raster, &window, &cols, &rows);
+        }
+    }
+}
+
 /// Re-renders, *in place*, exactly the pixels of `raster` that a
 /// what-if edit may have changed: for each rectangle of `dirty` (input
 /// space), the covering pixel window is recomputed through the
@@ -988,7 +990,7 @@ fn blit_window(
 /// kept their RNN sets (see `rnnhm_core::edit`).
 ///
 /// The refreshed raster is **bit-identical** to a from-scratch
-/// [`rasterize_squares_scanline`] of the same spec over the edited
+/// [`crate::compute::rasterize_squares`] of the same spec over the edited
 /// arrangement, for every order-insensitive exact measure: window
 /// pixel centers are evaluated with the parent grid's own arithmetic
 /// (property-tested in `tests/edits_match_rebuild.rs`).
@@ -998,15 +1000,9 @@ pub fn refresh_squares_dirty<M: IncrementalMeasure + Sync>(
     raster: &mut HeatRaster,
     dirty: &rnnhm_core::edit::DirtyRegion,
 ) {
-    let spec = raster.spec;
-    for rect in dirty.rects() {
-        if let Some((cols, rows)) = dirty_window(&spec, rect) {
-            let sub = arr.restrict_to(window_extent(&spec, &cols, &rows));
-            let grid = Grid::window(spec, cols.clone(), rows.clone());
-            let values = squares_window_values(&sub, measure, &grid, 1);
-            blit_window(raster, &values, &cols, &rows);
-        }
-    }
+    refresh_windows(raster, dirty, |extent, grid| {
+        squares_window_values(&arr.restrict_to(extent), measure, grid, 1)
+    });
 }
 
 /// Disk-arrangement (L2) variant of [`refresh_squares_dirty`].
@@ -1016,16 +1012,11 @@ pub fn refresh_disks_dirty<M: IncrementalMeasure + Sync>(
     raster: &mut HeatRaster,
     dirty: &rnnhm_core::edit::DirtyRegion,
 ) {
-    let spec = raster.spec;
-    for rect in dirty.rects() {
-        if let Some((cols, rows)) = dirty_window(&spec, rect) {
-            let sub = arr.restrict_to(window_extent(&spec, &cols, &rows));
-            let grid = Grid::window(spec, cols.clone(), rows.clone());
-            let values = disks_window_values(&sub, measure, &grid, 1);
-            blit_window(raster, &values, &cols, &rows);
-        }
-    }
+    refresh_windows(raster, dirty, |extent, grid| {
+        disks_window_values(&arr.restrict_to(extent), measure, grid, 1)
+    });
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -435,23 +435,19 @@ impl Viewport {
         let mut exact_px = 0usize;
         for &id in &self.tiles {
             let (src, dst, size) = self.overlap(scheme, id);
-            let key = TileKey { arrangement, measure, scheme: scheme_key, tile: id };
-            if let Some(tile) = cache.peek(key) {
-                blit_payload(&mut out, &tile, src, dst, size);
-                exact_px += size.0 * size.1;
-                continue;
-            }
-            // Walk up the pyramid for the nearest cached ancestor.
-            let mut coarse: Option<(u8, Arc<TilePayload>)> = None;
-            for levels in 1..=id.zoom {
-                let anc = id.ancestor(levels).expect("levels <= zoom");
-                let key = TileKey { arrangement, measure, scheme: scheme_key, tile: anc };
-                if let Some(tile) = cache.peek(key) {
-                    coarse = Some((levels, tile));
-                    break;
+            // The tile itself if cached, else its nearest cached
+            // ancestor up the pyramid.
+            let cached = (0..=id.zoom).find_map(|levels| {
+                let tile = id.ancestor(levels).expect("levels <= zoom");
+                cache
+                    .peek(TileKey { arrangement, measure, scheme: scheme_key, tile })
+                    .map(|p| (levels, p))
+            });
+            match cached {
+                Some((0, tile)) => {
+                    blit_payload(&mut out, &tile, src, dst, size);
+                    exact_px += size.0 * size.1;
                 }
-            }
-            match coarse {
                 Some((levels, tile)) => {
                     // Global fine pixel C at this zoom sits inside
                     // ancestor-local pixel (C >> levels) - anc_origin.
@@ -478,27 +474,6 @@ impl Viewport {
         }
         let total = self.spec.width * self.spec.height;
         Preview { raster: out, resolved: exact_px as f64 / total as f64 }
-    }
-
-    /// Fetches the covering tiles through `cache` — rendering the
-    /// misses in parallel via `render` — and stitches the exact
-    /// viewport raster. The renderer may return a plain [`HeatRaster`]
-    /// (encoded on the way into the cache via `Into<TilePayload>`) or a
-    /// pre-encoded payload.
-    pub fn render<R, F>(
-        &self,
-        scheme: &TileScheme,
-        cache: &TileCache,
-        arrangement: u64,
-        measure: u64,
-        render: F,
-    ) -> HeatRaster
-    where
-        R: Into<TilePayload>,
-        F: Fn(TileId, GridSpec) -> R + Sync,
-    {
-        let payloads = cache.fetch(arrangement, measure, scheme, &self.tiles, render);
-        self.stitch(scheme, &payloads)
     }
 }
 
@@ -588,7 +563,7 @@ pub struct CacheStats {
     /// registration. (Waits whose leader unwound fall back to
     /// rendering and count in neither.)
     pub single_flight_dedups: u64,
-    /// Deadline-bounded fetches ([`TileCache::fetch_deadline`]) that
+    /// Deadline-bounded fetches ([`TileCache::fetch_restricted_deadline`]) that
     /// gave up with covering tiles still unrendered. Tiles completed
     /// before the deadline stay cached, so a follow-up preview or
     /// retry starts warmer.
@@ -790,7 +765,7 @@ const MAX_SHARDS: usize = 8;
 ///
 /// Keys hash to one of N shards, each an independent LRU with its own
 /// byte budget (`capacity / N`) and mutex, so concurrent sessions
-/// serving disjoint tiles rarely contend. [`TileCache::fetch`] renders
+/// serving disjoint tiles rarely contend. [`TileCache::fetch_restricted`] renders
 /// misses *single-flight*: when several callers miss the same key at
 /// once, one renders and the rest wait for its raster
 /// ([`CacheStats::single_flight_waits`] /
@@ -1008,75 +983,232 @@ impl TileCache {
         flight.resolve(result);
     }
 
+    /// Carries the entries of `old_arrangement` under `scheme` over to
+    /// `new_arrangement`, oldest recency first. With `remove_clean`
+    /// (exclusive), every old entry is removed: dirty-intersecting ones
+    /// are dropped (counted as invalidations) and the rest re-keyed;
+    /// otherwise old entries stay and only the clean ones are copied.
+    /// A target key that is already cached keeps its entry. Returns
+    /// `(invalidated, migrated)`.
+    fn migrate(
+        &self,
+        old_arrangement: u64,
+        new_arrangement: u64,
+        scheme: &TileScheme,
+        dirty: &rnnhm_core::edit::DirtyRegion,
+        remove_clean: bool,
+    ) -> (usize, usize) {
+        let scheme_key = scheme.fingerprint();
+        let mut invalidated = 0usize;
+        let mut moved: Vec<(u64, TileKey, Arc<TilePayload>, usize)> = Vec::new();
+        for shard in &self.shards {
+            let mut inner = Self::lock_inner(shard);
+            // Walk the stamp-ordered LRU index, not the hash map: the
+            // listing order (and so eviction order after migration) must
+            // not depend on the per-process hasher seed.
+            let affected: Vec<TileKey> = inner
+                .lru
+                .values()
+                .filter(|k| k.arrangement == old_arrangement && k.scheme == scheme_key)
+                .copied()
+                .collect();
+            for key in affected {
+                let is_dirty = dirty.intersects(&scheme.tile_extent(key.tile));
+                if is_dirty && remove_clean {
+                    let entry = inner.map.remove(&key).expect("key just listed");
+                    inner.lru.remove(&entry.stamp);
+                    inner.account_remove(&entry.payload, entry.bytes);
+                    inner.invalidations += 1;
+                    invalidated += 1;
+                } else if !is_dirty {
+                    if remove_clean {
+                        let entry = inner.map.remove(&key).expect("key just listed");
+                        inner.lru.remove(&entry.stamp);
+                        inner.account_remove(&entry.payload, entry.bytes);
+                        moved.push((entry.stamp, key, entry.payload, entry.bytes));
+                    } else {
+                        let entry = &inner.map[&key];
+                        moved.push((entry.stamp, key, entry.payload.clone(), entry.bytes));
+                    }
+                }
+            }
+        }
+        // Reinsert oldest first, approximately preserving relative
+        // recency across the (per-shard) clocks. Keyed by (stamp, key),
+        // a total order: per-shard clocks can collide across shards.
+        moved.sort_unstable_by_key(|&(stamp, key, ..)| (stamp, key));
+        let mut migrated = 0usize;
+        for (_, key, payload, bytes) in moved {
+            let new_key = TileKey { arrangement: new_arrangement, ..key };
+            if new_arrangement == old_arrangement {
+                // Degenerate re-key: put the entry back where it was.
+                self.place(key, payload, bytes, false);
+            } else if self.peek(new_key).is_none() {
+                self.place(new_key, payload, bytes, false);
+                migrated += 1;
+            }
+        }
+        (invalidated, migrated)
+    }
+
+    /// Applies a what-if edit to the cache *exclusively*: entries keyed
+    /// under `old_arrangement` (and this `scheme`) whose tile extent
+    /// intersects `dirty` are dropped — their pixels may have changed —
+    /// while all other entries of that arrangement are *re-keyed* to
+    /// `new_arrangement`, preserving bytes and payload.
+    ///
+    /// This is what keeps viewports warm across edits for a session
+    /// that is the sole user of the old snapshot: the edited
+    /// arrangement gets a fresh fingerprint, and instead of orphaning
+    /// every cached tile under the stale key, the untouched tiles —
+    /// provably pixel-identical, because all changed area lies inside
+    /// the dirty region — migrate to the new key in one `O(entries)`
+    /// pass. Tiles of *other* arrangements or schemes sharing the
+    /// cache are untouched. When the old snapshot is still served to
+    /// other sessions (a fork), use [`TileCache::alias_region`]
+    /// instead.
+    ///
+    /// Returns `(invalidated, rekeyed)` counts; invalidated tiles are
+    /// also reported in [`CacheStats::invalidations`].
+    pub fn invalidate_region(
+        &self,
+        old_arrangement: u64,
+        new_arrangement: u64,
+        scheme: &TileScheme,
+        dirty: &rnnhm_core::edit::DirtyRegion,
+    ) -> (usize, usize) {
+        self.migrate(old_arrangement, new_arrangement, scheme, dirty, true)
+    }
+
+    /// The *shared* counterpart of [`TileCache::invalidate_region`]:
+    /// propagates an edit by **copying** the clean entries of
+    /// `old_arrangement` to `new_arrangement` (the `Arc` pixel
+    /// payloads are shared; only the byte accounting doubles), leaving
+    /// every old entry in place. Used when the old snapshot is still
+    /// being served to other sessions — forks keep their warm tiles,
+    /// the editing session starts warm everywhere outside its dirty
+    /// region, and the old entries age out of the LRU naturally once
+    /// the last session drops the old snapshot.
+    ///
+    /// Returns the number of entries aliased under the new key.
+    pub fn alias_region(
+        &self,
+        old_arrangement: u64,
+        new_arrangement: u64,
+        scheme: &TileScheme,
+        dirty: &rnnhm_core::edit::DirtyRegion,
+    ) -> usize {
+        if new_arrangement == old_arrangement {
+            return 0;
+        }
+        self.migrate(old_arrangement, new_arrangement, scheme, dirty, false).1
+    }
+
     /// Fetches `ids` in order: cached tiles are returned immediately;
     /// misses are rendered *single-flight* — this call renders the
     /// keys it leads (in parallel across all cores when more than one
     /// is missing) and waits for keys another concurrent fetch is
     /// already rendering, reusing that caller's payload.
     ///
-    /// `render` receives the tile id and the exact [`GridSpec`] the
-    /// tile must be rendered with ([`TileScheme::tile_spec`]); it may
-    /// return a plain [`HeatRaster`] (stored un-quantized) or a
-    /// pre-encoded [`TilePayload`].
-    pub fn fetch<R, F>(
+    /// Rendering is *two-stage*: `make_base` builds a render base
+    /// restricted to the union extent of the tiles that missed the
+    /// cache — on a pan, a thin strip of the viewport — and `render`
+    /// draws one tile from that base, given the tile id and the exact
+    /// [`GridSpec`] it must be rendered with ([`TileScheme::tile_spec`]).
+    /// A missing tile outside that union (possible when a concurrent
+    /// eviction races the lookup) gets a base made from its own extent,
+    /// so the restriction is a pure optimization, never a correctness
+    /// dependency. Callers with nothing to restrict pass a unit base
+    /// (`|_| ()`). `render` may return a plain [`HeatRaster`] (stored
+    /// un-quantized) or a pre-encoded [`TilePayload`].
+    pub fn fetch_restricted<B, R, F, G>(
         &self,
         arrangement: u64,
         measure: u64,
         scheme: &TileScheme,
         ids: &[TileId],
-        render: F,
+        make_base: F,
+        render: G,
     ) -> Vec<Arc<TilePayload>>
     where
+        B: Sync,
         R: Into<TilePayload>,
-        F: Fn(TileId, GridSpec) -> R + Sync,
+        F: Fn(Rect) -> B + Sync,
+        G: Fn(&B, TileId, GridSpec) -> R + Sync,
     {
-        self.fetch_inner(arrangement, measure, scheme, ids, None, render)
+        self.fetch_with(arrangement, measure, scheme, ids, None, make_base, render)
             .expect("a fetch without a deadline always completes")
     }
 
-    /// [`TileCache::fetch`] bounded by a wall-clock `deadline`: misses
-    /// render only while time remains (the check runs before each tile
-    /// render, never mid-tile), and waits on other callers' flights
-    /// time out at the deadline. Returns `None` — counting a
-    /// [`CacheStats::deadline_giveups`] — if any requested tile was
-    /// still unrendered when the budget ran out; everything rendered
-    /// up to that point is already cached, so a follow-up
-    /// [`Viewport::preview`] (the graceful-degradation path) or a
-    /// retry starts from the warmed state.
-    pub fn fetch_deadline<R, F>(
+    /// [`TileCache::fetch_restricted`] bounded by a wall-clock
+    /// `deadline`: misses render only while time remains (the check
+    /// runs before each tile render, never mid-tile), and waits on
+    /// other callers' flights time out at the deadline. Returns `None`
+    /// — counting a [`CacheStats::deadline_giveups`] — if any requested
+    /// tile was still unrendered when the budget ran out; everything
+    /// rendered up to that point is already cached, so a follow-up
+    /// [`Viewport::preview`] (the graceful-degradation path) or a retry
+    /// starts from the warmed state.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fetch_restricted_deadline<B, R, F, G>(
         &self,
         arrangement: u64,
         measure: u64,
         scheme: &TileScheme,
         ids: &[TileId],
         deadline: Instant,
-        render: F,
+        make_base: F,
+        render: G,
     ) -> Option<Vec<Arc<TilePayload>>>
     where
+        B: Sync,
         R: Into<TilePayload>,
-        F: Fn(TileId, GridSpec) -> R + Sync,
+        F: Fn(Rect) -> B + Sync,
+        G: Fn(&B, TileId, GridSpec) -> R + Sync,
     {
-        self.fetch_inner(arrangement, measure, scheme, ids, Some(deadline), render)
+        self.fetch_with(arrangement, measure, scheme, ids, Some(deadline), make_base, render)
     }
 
-    fn fetch_inner<R, F>(
+    /// The fetch body behind both public entry points.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_with<B, R, F, G>(
         &self,
         arrangement: u64,
         measure: u64,
         scheme: &TileScheme,
         ids: &[TileId],
         deadline: Option<Instant>,
-        render: F,
+        make_base: F,
+        render: G,
     ) -> Option<Vec<Arc<TilePayload>>>
     where
+        B: Sync,
         R: Into<TilePayload>,
-        F: Fn(TileId, GridSpec) -> R + Sync,
+        F: Fn(Rect) -> B + Sync,
+        G: Fn(&B, TileId, GridSpec) -> R + Sync,
     {
         let scheme_key = scheme.fingerprint();
         let key_of = |tile: TileId| TileKey { arrangement, measure, scheme: scheme_key, tile };
         let expired = || deadline.is_some_and(|d| rnnhm_core::clock::now() >= d);
         let mut out: Vec<Option<Arc<TilePayload>>> =
             ids.iter().map(|&tile| self.get(key_of(tile))).collect();
+        let missing_union = ids
+            .iter()
+            .zip(&out)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&tile, _)| scheme.tile_extent(tile))
+            .reduce(|a, b| a.union(&b));
+        let base = missing_union.map(|u| (u, make_base(u)));
+        let render_tile = |id: TileId| -> Arc<TilePayload> {
+            let spec = scheme.tile_spec(id);
+            Arc::new(
+                match &base {
+                    Some((u, b)) if u.contains_rect(&spec.extent) => render(b, id, spec),
+                    _ => render(&make_base(spec.extent), id, spec),
+                }
+                .into(),
+            )
+        };
         let mut leaders: Vec<(usize, Arc<Flight>)> = Vec::new();
         let mut waiters: Vec<(usize, Arc<Flight>)> = Vec::new();
         for (i, slot) in out.iter_mut().enumerate() {
@@ -1114,7 +1246,7 @@ impl TileCache {
                         return (i, None);
                     }
                     let guard = FlightGuard { cache: self, key, flight, armed: true };
-                    let payload = Arc::new(render(ids[i], scheme.tile_spec(ids[i])).into());
+                    let payload = render_tile(ids[i]);
                     self.insert(key, payload.clone());
                     guard.complete(payload.clone());
                     (i, Some(payload))
@@ -1158,9 +1290,8 @@ impl TileCache {
                         gave_up.store(true, Ordering::Relaxed);
                         continue;
                     }
-                    let key = key_of(ids[i]);
-                    let payload = Arc::new(render(ids[i], scheme.tile_spec(ids[i])).into());
-                    self.insert(key, payload.clone());
+                    let payload = render_tile(ids[i]);
+                    self.insert(key_of(ids[i]), payload.clone());
                     out[i] = Some(payload);
                 }
                 WaitOutcome::TimedOut => gave_up.store(true, Ordering::Relaxed),
@@ -1171,235 +1302,6 @@ impl TileCache {
             return None;
         }
         Some(out.into_iter().map(|r| r.expect("every tile fetched or rendered")).collect())
-    }
-
-    /// Collects the entries of `old_arrangement` under `scheme` from
-    /// every shard, removing them: dirty-intersecting entries are
-    /// dropped (counted as invalidations), the rest are returned for
-    /// migration, oldest recency first.
-    #[allow(clippy::type_complexity)]
-    fn extract_for_edit(
-        &self,
-        old_arrangement: u64,
-        scheme: &TileScheme,
-        dirty: &rnnhm_core::edit::DirtyRegion,
-        remove_clean: bool,
-    ) -> (usize, Vec<(u64, TileKey, Arc<TilePayload>, usize)>) {
-        let scheme_key = scheme.fingerprint();
-        let mut invalidated = 0usize;
-        let mut moved: Vec<(u64, TileKey, Arc<TilePayload>, usize)> = Vec::new();
-        for shard in &self.shards {
-            let mut inner = Self::lock_inner(shard);
-            // Walk the stamp-ordered LRU index, not the hash map: the
-            // listing order (and so eviction order after migration) must
-            // not depend on the per-process hasher seed.
-            let affected: Vec<TileKey> = inner
-                .lru
-                .values()
-                .filter(|k| k.arrangement == old_arrangement && k.scheme == scheme_key)
-                .copied()
-                .collect();
-            for key in affected {
-                let is_dirty = dirty.intersects(&scheme.tile_extent(key.tile));
-                if is_dirty && remove_clean {
-                    let entry = inner.map.remove(&key).expect("key just listed");
-                    inner.lru.remove(&entry.stamp);
-                    inner.account_remove(&entry.payload, entry.bytes);
-                    inner.invalidations += 1;
-                    invalidated += 1;
-                } else if !is_dirty {
-                    if remove_clean {
-                        let entry = inner.map.remove(&key).expect("key just listed");
-                        inner.lru.remove(&entry.stamp);
-                        inner.account_remove(&entry.payload, entry.bytes);
-                        moved.push((entry.stamp, key, entry.payload, entry.bytes));
-                    } else {
-                        let entry = &inner.map[&key];
-                        moved.push((entry.stamp, key, entry.payload.clone(), entry.bytes));
-                    }
-                }
-            }
-        }
-        // Reinsert oldest first, approximately preserving relative
-        // recency across the (per-shard) clocks. Keyed by (stamp, key),
-        // a total order: per-shard clocks can collide across shards.
-        moved.sort_unstable_by_key(|&(stamp, key, ..)| (stamp, key));
-        (invalidated, moved)
-    }
-
-    /// Applies a what-if edit to the cache *exclusively*: entries keyed
-    /// under `old_arrangement` (and this `scheme`) whose tile extent
-    /// intersects `dirty` are dropped — their pixels may have changed —
-    /// while all other entries of that arrangement are *re-keyed* to
-    /// `new_arrangement`, preserving bytes and payload.
-    ///
-    /// This is what keeps viewports warm across edits for a session
-    /// that is the sole user of the old snapshot: the edited
-    /// arrangement gets a fresh fingerprint, and instead of orphaning
-    /// every cached tile under the stale key, the untouched tiles —
-    /// provably pixel-identical, because all changed area lies inside
-    /// the dirty region — migrate to the new key in one `O(entries)`
-    /// pass. Tiles of *other* arrangements or schemes sharing the
-    /// cache are untouched. When the old snapshot is still served to
-    /// other sessions (a fork), use [`TileCache::alias_region`]
-    /// instead.
-    ///
-    /// Returns `(invalidated, rekeyed)` counts; invalidated tiles are
-    /// also reported in [`CacheStats::invalidations`].
-    pub fn invalidate_region(
-        &self,
-        old_arrangement: u64,
-        new_arrangement: u64,
-        scheme: &TileScheme,
-        dirty: &rnnhm_core::edit::DirtyRegion,
-    ) -> (usize, usize) {
-        let (invalidated, moved) = self.extract_for_edit(old_arrangement, scheme, dirty, true);
-        let mut rekeyed = 0usize;
-        for (_, key, payload, bytes) in moved {
-            if new_arrangement == old_arrangement {
-                // Degenerate re-key: put the entry back where it was.
-                self.place(key, payload, bytes, false);
-                continue;
-            }
-            let new_key = TileKey { arrangement: new_arrangement, ..key };
-            if self.peek(new_key).is_some() {
-                // The target key is already cached (a caller re-keyed
-                // back onto an existing fingerprint): keep the existing
-                // entry, drop this one.
-                continue;
-            }
-            self.place(new_key, payload, bytes, false);
-            rekeyed += 1;
-        }
-        (invalidated, rekeyed)
-    }
-
-    /// The *shared* counterpart of [`TileCache::invalidate_region`]:
-    /// propagates an edit by **copying** the clean entries of
-    /// `old_arrangement` to `new_arrangement` (the `Arc` pixel
-    /// payloads are shared; only the byte accounting doubles), leaving
-    /// every old entry in place. Used when the old snapshot is still
-    /// being served to other sessions — forks keep their warm tiles,
-    /// the editing session starts warm everywhere outside its dirty
-    /// region, and the old entries age out of the LRU naturally once
-    /// the last session drops the old snapshot.
-    ///
-    /// Returns the number of entries aliased under the new key.
-    pub fn alias_region(
-        &self,
-        old_arrangement: u64,
-        new_arrangement: u64,
-        scheme: &TileScheme,
-        dirty: &rnnhm_core::edit::DirtyRegion,
-    ) -> usize {
-        if new_arrangement == old_arrangement {
-            return 0;
-        }
-        let (_, clean) = self.extract_for_edit(old_arrangement, scheme, dirty, false);
-        let mut aliased = 0usize;
-        for (_, key, payload, bytes) in clean {
-            let new_key = TileKey { arrangement: new_arrangement, ..key };
-            if self.peek(new_key).is_some() {
-                continue;
-            }
-            self.place(new_key, payload, bytes, false);
-            aliased += 1;
-        }
-        aliased
-    }
-
-    /// [`TileCache::fetch`] with the *two-stage restriction* pattern
-    /// viewport serving uses (both the facade and `tile_bench` go
-    /// through this): `make_base` builds a render base restricted to
-    /// the union extent of the tiles currently missing the cache — on
-    /// a pan, a thin strip of the viewport — and `render` draws one
-    /// tile from that base, restricting it further to the tile's own
-    /// extent. For any missing tile outside the snapshot union
-    /// (possible when a concurrent eviction races the initial peek),
-    /// `make_base` is re-invoked with the tile's own extent, so the
-    /// two-stage filter is a pure optimization, never a correctness
-    /// dependency.
-    pub fn fetch_restricted<B, R, F, G>(
-        &self,
-        arrangement: u64,
-        measure: u64,
-        scheme: &TileScheme,
-        ids: &[TileId],
-        make_base: F,
-        render: G,
-    ) -> Vec<Arc<TilePayload>>
-    where
-        B: Sync,
-        R: Into<TilePayload>,
-        F: Fn(Rect) -> B + Sync,
-        G: Fn(&B, TileId, GridSpec) -> R + Sync,
-    {
-        self.fetch_restricted_inner(arrangement, measure, scheme, ids, None, make_base, render)
-            .expect("a fetch without a deadline always completes")
-    }
-
-    /// [`TileCache::fetch_restricted`] bounded by a wall-clock
-    /// deadline; see [`TileCache::fetch_deadline`] for the giveup
-    /// semantics (`None` ⇒ at least one tile unrendered at the
-    /// deadline, everything rendered so far cached).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch_restricted_deadline<B, R, F, G>(
-        &self,
-        arrangement: u64,
-        measure: u64,
-        scheme: &TileScheme,
-        ids: &[TileId],
-        deadline: Instant,
-        make_base: F,
-        render: G,
-    ) -> Option<Vec<Arc<TilePayload>>>
-    where
-        B: Sync,
-        R: Into<TilePayload>,
-        F: Fn(Rect) -> B + Sync,
-        G: Fn(&B, TileId, GridSpec) -> R + Sync,
-    {
-        self.fetch_restricted_inner(
-            arrangement,
-            measure,
-            scheme,
-            ids,
-            Some(deadline),
-            make_base,
-            render,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_restricted_inner<B, R, F, G>(
-        &self,
-        arrangement: u64,
-        measure: u64,
-        scheme: &TileScheme,
-        ids: &[TileId],
-        deadline: Option<Instant>,
-        make_base: F,
-        render: G,
-    ) -> Option<Vec<Arc<TilePayload>>>
-    where
-        B: Sync,
-        R: Into<TilePayload>,
-        F: Fn(Rect) -> B + Sync,
-        G: Fn(&B, TileId, GridSpec) -> R + Sync,
-    {
-        let scheme_key = scheme.fingerprint();
-        let missing_union = ids
-            .iter()
-            .filter(|&&tile| {
-                self.peek(TileKey { arrangement, measure, scheme: scheme_key, tile }).is_none()
-            })
-            .map(|&tile| scheme.tile_extent(tile))
-            .reduce(|a, b| a.union(&b));
-        let base = missing_union.map(|u| (u, make_base(u)));
-        self.fetch_inner(arrangement, measure, scheme, ids, deadline, |id, spec| match &base {
-            Some((u, b)) if u.contains_rect(&spec.extent) => render(b, id, spec),
-            _ => render(&make_base(spec.extent), id, spec),
-        })
     }
 }
 
@@ -1662,11 +1564,12 @@ mod tests {
         // fetch through scheme `b`.
         let cache = TileCache::new(64 << 20);
         let id = TileId { zoom: 1, tx: 0, ty: 0 };
-        let render =
-            |_, spec: GridSpec| HeatRaster::from_values(spec, vec![1.0; spec.width * spec.height]);
-        cache.fetch(1, 2, &a, &[id], render);
+        let render = |_: &(), _, spec: GridSpec| {
+            HeatRaster::from_values(spec, vec![1.0; spec.width * spec.height])
+        };
+        cache.fetch_restricted(1, 2, &a, &[id], |_| (), render);
         assert_eq!(cache.stats().misses, 1);
-        cache.fetch(1, 2, &b, &[id], render);
+        cache.fetch_restricted(1, 2, &b, &[id], |_| (), render);
         assert_eq!(cache.stats().misses, 2, "same id under scheme b must re-render");
         assert_eq!(cache.stats().entries, 2);
     }
@@ -1764,13 +1667,13 @@ mod tests {
         let cache = TileCache::new(64 << 20);
         let v = s.viewport(Rect::new(1.0, 7.0, 1.0, 7.0), 40, 40);
         let renders = AtomicUsize::new(0);
-        let render = |id: TileId, spec: GridSpec| {
+        let render = |_: &(), id: TileId, spec: GridSpec| {
             renders.fetch_add(1, Ordering::Relaxed);
             HeatRaster::from_values(spec, vec![id.tx as f64; spec.width * spec.height])
         };
-        let first = cache.fetch(7, 9, &s, v.tiles(), render);
+        let first = cache.fetch_restricted(7, 9, &s, v.tiles(), |_| (), render);
         assert_eq!(renders.load(Ordering::Relaxed), v.tiles().len());
-        let second = cache.fetch(7, 9, &s, v.tiles(), render);
+        let second = cache.fetch_restricted(7, 9, &s, v.tiles(), |_| (), render);
         assert_eq!(renders.load(Ordering::Relaxed), v.tiles().len(), "all warm, no re-render");
         for (a, b) in first.iter().zip(&second) {
             assert!(Arc::ptr_eq(a, b), "warm fetch returns the cached tile");
@@ -1779,7 +1682,7 @@ mod tests {
         assert_eq!(st.hits as usize, v.tiles().len());
         assert_eq!(st.misses as usize, v.tiles().len());
         // Different measure key: cold again.
-        cache.fetch(7, 10, &s, v.tiles(), render);
+        cache.fetch_restricted(7, 10, &s, v.tiles(), |_| (), render);
         assert_eq!(renders.load(Ordering::Relaxed), 2 * v.tiles().len());
     }
 
@@ -2076,15 +1979,22 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cache.fetch(5, 6, &s, v.tiles(), |id, spec| {
-                            renders.fetch_add(1, Ordering::Relaxed);
-                            // Slow the render enough that the herd overlaps.
-                            std::thread::sleep(std::time::Duration::from_millis(5));
-                            HeatRaster::from_values(
-                                spec,
-                                vec![id.tx as f64; spec.width * spec.height],
-                            )
-                        })
+                        cache.fetch_restricted(
+                            5,
+                            6,
+                            &s,
+                            v.tiles(),
+                            |_| (),
+                            |_, id, spec| {
+                                renders.fetch_add(1, Ordering::Relaxed);
+                                // Slow the render enough that the herd overlaps.
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                                HeatRaster::from_values(
+                                    spec,
+                                    vec![id.tx as f64; spec.width * spec.height],
+                                )
+                            },
+                        )
                     })
                 })
                 .collect();
@@ -2130,13 +2040,20 @@ mod tests {
             // deterministic rather than a sleep-tuned race.
             let leader = scope.spawn(|| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    cache.fetch(1, 2, &s, &[id], |_, _spec| -> HeatRaster {
-                        leading.store(true, Ordering::SeqCst);
-                        while cache.stats().single_flight_waits < 1 {
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                        panic!("injected renderer failure");
-                    })
+                    cache.fetch_restricted(
+                        1,
+                        2,
+                        &s,
+                        &[id],
+                        |_| (),
+                        |_, _, _| -> HeatRaster {
+                            leading.store(true, Ordering::SeqCst);
+                            while cache.stats().single_flight_waits < 1 {
+                                std::thread::sleep(std::time::Duration::from_millis(1));
+                            }
+                            panic!("injected renderer failure");
+                        },
+                    )
                 }))
             });
             // Waiter: joins the same key only once the leader owns it.
@@ -2144,10 +2061,17 @@ mod tests {
                 while !leading.load(Ordering::SeqCst) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
-                cache.fetch(1, 2, &s, &[id], |_, spec| {
-                    waiter_renders.fetch_add(1, Ordering::SeqCst);
-                    HeatRaster::from_values(spec, vec![3.25; spec.width * spec.height])
-                })
+                cache.fetch_restricted(
+                    1,
+                    2,
+                    &s,
+                    &[id],
+                    |_| (),
+                    |_, _, spec| {
+                        waiter_renders.fetch_add(1, Ordering::SeqCst);
+                        HeatRaster::from_values(spec, vec![3.25; spec.width * spec.height])
+                    },
+                )
             });
             assert!(leader.join().expect("leader thread").is_err(), "panic reaches the caller");
             let frame = waiter.join().expect("waiter thread");
@@ -2165,7 +2089,14 @@ mod tests {
         assert!(cache.peek(k).is_some(), "the recovered tile stays cached for the next caller");
         // And the next fetch is a plain hit — the abandonment left no
         // stuck flight behind.
-        cache.fetch(1, 2, &s, &[id], |_, _| -> HeatRaster { unreachable!("tile is warm") });
+        cache.fetch_restricted(
+            1,
+            2,
+            &s,
+            &[id],
+            |_| (),
+            |_, _, _| -> HeatRaster { unreachable!("tile is warm") },
+        );
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -2174,13 +2105,14 @@ mod tests {
         let s = scheme();
         let cache = TileCache::new(64 << 20);
         let v = s.viewport(Rect::new(1.0, 7.0, 1.0, 7.0), 40, 40);
-        let out = cache.fetch_deadline(
+        let out = cache.fetch_restricted_deadline(
             1,
             2,
             &s,
             v.tiles(),
             rnnhm_core::clock::now() - std::time::Duration::from_millis(1),
-            |_, _| -> HeatRaster { unreachable!("no render budget remains") },
+            |_| (),
+            |_, _, _| -> HeatRaster { unreachable!("no render budget remains") },
         );
         assert!(out.is_none());
         let st = cache.stats();
@@ -2188,9 +2120,16 @@ mod tests {
         assert_eq!(st.insertions, 0, "nothing rendered, nothing cached");
         // The abandoned flights left no residue: an undeadlined fetch
         // renders everything normally.
-        let full = cache.fetch(1, 2, &s, v.tiles(), |id, spec| {
-            HeatRaster::from_values(spec, vec![id.tx as f64; spec.width * spec.height])
-        });
+        let full = cache.fetch_restricted(
+            1,
+            2,
+            &s,
+            v.tiles(),
+            |_| (),
+            |_, id, spec| {
+                HeatRaster::from_values(spec, vec![id.tx as f64; spec.width * spec.height])
+            },
+        );
         assert_eq!(full.len(), v.tiles().len());
     }
 
@@ -2199,14 +2138,14 @@ mod tests {
         let s = scheme();
         let cache = TileCache::new(64 << 20);
         let v = s.viewport(Rect::new(1.0, 7.0, 1.0, 7.0), 40, 40);
-        let render = |id: TileId, spec: GridSpec| {
+        let render = |_: &(), id: TileId, spec: GridSpec| {
             HeatRaster::from_values(spec, vec![id.tx as f64; spec.width * spec.height])
         };
         let deadline = rnnhm_core::clock::now() + std::time::Duration::from_secs(60);
         let bounded = cache
-            .fetch_deadline(1, 2, &s, v.tiles(), deadline, render)
+            .fetch_restricted_deadline(1, 2, &s, v.tiles(), deadline, |_| (), render)
             .expect("a generous deadline completes");
-        let plain = cache.fetch(1, 2, &s, v.tiles(), render);
+        let plain = cache.fetch_restricted(1, 2, &s, v.tiles(), |_| (), render);
         for (a, b) in bounded.iter().zip(&plain) {
             assert!(Arc::ptr_eq(a, b), "deadline path fills the same cache entries");
         }
@@ -2223,13 +2162,14 @@ mod tests {
         // Each tile costs ~20 ms; the 10 ms budget admits the first
         // render per worker (the deadline check runs before a render
         // starts, never mid-tile) and then expires.
-        let out = cache.fetch_deadline(
+        let out = cache.fetch_restricted_deadline(
             1,
             2,
             &s,
             v.tiles(),
             rnnhm_core::clock::now() + std::time::Duration::from_millis(10),
-            |id, spec| {
+            |_| (),
+            |_, id, spec| {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 HeatRaster::from_values(spec, vec![id.tx as f64; spec.width * spec.height])
             },

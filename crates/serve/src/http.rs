@@ -9,6 +9,10 @@
 //! * bodies are admitted only up to [`MAX_BODY_BYTES`], checked
 //!   against `Content-Length` *before* any body byte is read — a
 //!   declared 10 GiB body allocates nothing and earns a `413`;
+//! * `Content-Length` must be plain digits, and duplicates must agree
+//!   (RFC 9112 §6.3) — anything else is a framing error and earns a
+//!   `400`, since a lenient parse could disagree with a proxy about
+//!   where the body ends;
 //! * `Transfer-Encoding: chunked` (unbounded by construction) is
 //!   refused with `501`;
 //! * socket read/write timeouts are the caller's job (the server arms
@@ -24,12 +28,14 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Hard cap on the number of header lines.
 pub const MAX_HEADERS: usize = 64;
 
-/// A parsed request: method, split target, lowercased header names,
-/// and the (bounded) body.
+/// A parsed request: method, split target, protocol version,
+/// lowercased header names, and the (bounded) body.
 #[derive(Debug)]
 pub struct Request {
     /// Request method, uppercase as received (`GET`, `POST`, ...).
     pub method: String,
+    /// Protocol version as received: `HTTP/1.1` or `HTTP/1.0`.
+    pub version: String,
     /// Path component of the target, without the query string.
     pub path: String,
     /// Decoded `key=value` pairs of the query string (no
@@ -52,9 +58,15 @@ impl Request {
         self.query.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
 
-    /// Whether the client asked for the connection to close.
+    /// Whether the connection should close after this request: the
+    /// client sent `Connection: close`, or spoke HTTP/1.0 without
+    /// `Connection: keep-alive` (1.0 connections close by default).
     pub fn wants_close(&self) -> bool {
-        self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let has = |token: &str| {
+            self.header("connection")
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+        };
+        has("close") || (self.version == "HTTP/1.0" && !has("keep-alive"))
     }
 }
 
@@ -74,7 +86,7 @@ pub enum ReadError {
 }
 
 /// Reads one request from the stream, enforcing all bounds.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
+pub fn read_request(stream: &mut impl Read) -> Result<Request, ReadError> {
     // Head: read until CRLFCRLF, never past MAX_HEAD_BYTES.
     let mut head = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
@@ -128,18 +140,21 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
         Some((p, q)) => (p.to_string(), parse_query(q)),
         None => (target.to_string(), Vec::new()),
     };
-    let mut req = Request { method: method.to_string(), path, query, headers, body: Vec::new() };
+    let mut req = Request {
+        method: method.to_string(),
+        version: version.to_string(),
+        path,
+        query,
+        headers,
+        body: Vec::new(),
+    };
 
     // Body: bounded by Content-Length, checked before reading.
     if req.header("transfer-encoding").is_some() {
         return Err(ReadError::Bad(Response::text(501, "chunked bodies not supported").close()));
     }
-    let content_length = match req.header("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::Bad(Response::text(400, "malformed Content-Length").close()))?,
-    };
+    let content_length = content_length(&req.headers)
+        .ok_or_else(|| ReadError::Bad(Response::text(400, "malformed Content-Length").close()))?;
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::Bad(Response::text(413, "request body exceeds 64 KiB").close()));
     }
@@ -156,6 +171,24 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     }
     req.body = body;
     Ok(req)
+}
+
+/// The declared body length: 0 without a `Content-Length` header,
+/// `None` when any value is not plain digits (`+5`, `5, 5`, empty) or
+/// duplicate headers disagree.
+fn content_length(headers: &[(String, String)]) -> Option<usize> {
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let n = v.parse::<usize>().ok()?;
+        if declared.is_some_and(|d| d != n) {
+            return None;
+        }
+        declared = Some(n);
+    }
+    Some(declared.unwrap_or(0))
 }
 
 /// Position of the `\r\n\r\n` head terminator, if present.
@@ -296,6 +329,45 @@ mod tests {
         assert_eq!(q[1], ("x1".into(), "1".into()));
         assert_eq!(q[2], ("flag".into(), String::new()));
         assert_eq!(q[3], ("y".into(), String::new()));
+    }
+
+    fn parse(raw: &str) -> Result<Request, ReadError> {
+        read_request(&mut raw.as_bytes())
+    }
+
+    fn bad_status(raw: &str) -> u16 {
+        match parse(raw) {
+            Err(ReadError::Bad(resp)) => resp.status,
+            other => panic!("expected a rejected request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        assert_eq!(bad_status("POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"), 400);
+        assert_eq!(bad_status("POST / HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello"), 400);
+        assert_eq!(bad_status("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n"), 400);
+        let ok = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
+        assert_eq!(ok.body, b"hello");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let raw = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello";
+        assert_eq!(bad_status(raw), 400);
+        // Agreeing duplicates frame the body unambiguously.
+        let raw = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(parse(raw).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn http10_defaults_to_close() {
+        let req = |raw: &str| parse(raw).unwrap();
+        assert!(req("GET / HTTP/1.0\r\n\r\n").wants_close());
+        assert!(!req("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").wants_close());
+        assert!(!req("GET / HTTP/1.1\r\n\r\n").wants_close());
+        assert!(req("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").wants_close());
+        assert_eq!(req("GET / HTTP/1.0\r\n\r\n").version, "HTTP/1.0");
     }
 
     #[test]

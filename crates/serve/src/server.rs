@@ -12,7 +12,7 @@
 //!    or a blocked acceptor.
 //! 2. **Deadline.** A worker picking up a request gets a wall-clock
 //!    budget ([`ServerConfig::request_deadline`]). Viewport renders run
-//!    under it ([`Session::viewport_deadline`]): when the budget
+//!    under it ([`Session::viewport_frame`]): when the budget
 //!    expires with tiles still unrendered, the response **degrades** to
 //!    a cache-only coarse preview (`X-Degraded: 1`, `X-Resolved`
 //!    fraction header) instead of blocking the worker.
@@ -791,7 +791,7 @@ fn tile_endpoint<M: IncrementalMeasure + Send + Sync>(
         if let Some(delay) = ctx.config.fault.render_delay() {
             std::thread::sleep(delay);
         }
-        let frame = session.tile_lod(TileId { zoom, tx, ty });
+        let frame = session.tile(TileId { zoom, tx, ty });
         if frame.approx {
             raster_response(&frame.raster)
                 .header("Cache-Control", "private")
@@ -853,7 +853,7 @@ fn viewport_endpoint<M: IncrementalMeasure + Send + Sync>(
         if let Some(delay) = ctx.config.fault.render_delay() {
             std::thread::sleep(delay);
         }
-        match session.viewport_deadline(rect, w, h, deadline) {
+        match session.viewport_frame(rect, w, h, Some(deadline)) {
             ViewportFrame::Exact(raster) => {
                 raster_response(&raster).header("ETag", &tag).header("X-Resolved", "1")
             }

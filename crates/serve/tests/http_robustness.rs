@@ -134,7 +134,7 @@ fn exact_responses_are_bit_identical_and_etag_304_round_trips() {
     // Tile endpoint: same bit-identity, same ETag.
     let tile = request(addr, "GET", "/session/0/tile/1/0/0").unwrap();
     assert_eq!(tile.status, 200);
-    assert_eq!(tile.body, raster_bytes(&local.tile(TileId { zoom: 1, tx: 0, ty: 0 })));
+    assert_eq!(tile.body, raster_bytes(&local.tile(TileId { zoom: 1, tx: 0, ty: 0 }).raster));
 
     // Conditional round-trip: the ETag is the snapshot fingerprint.
     let tag = first.header("etag").expect("exact responses carry an ETag").to_string();
@@ -392,6 +392,22 @@ fn keep_alive_connections_serve_multiple_requests() {
     server.shutdown();
 }
 
+#[test]
+fn http10_requests_close_after_the_response() {
+    // A long server read timeout: a 1.0 connection wrongly kept alive
+    // would hold the client's read open for 30 s, far past the bound
+    // below (`raw_roundtrip` reads until EOF).
+    let config = ServerConfig { read_timeout: Duration::from_secs(30), ..quick_config() };
+    let server = serve(test_engine(300, 43), config).expect("bind");
+    let started = rnnhm_core::clock::now();
+    let resp =
+        raw_roundtrip(server.addr(), b"GET /healthz HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("connection"), Some("close"));
+    assert!(started.elapsed() < Duration::from_secs(5), "EOF must follow the response at once");
+    server.shutdown();
+}
+
 const PLACEMENT: &str = "/session/0/placement?m=3";
 
 #[test]
@@ -533,7 +549,7 @@ fn approximate_tiles_and_viewports_are_labeled_and_carry_no_validator() {
     assert_eq!(coarse.header("cache-control"), Some("private"));
 
     // The bytes are exactly the engine's own LoD frame.
-    let frame = local.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 });
+    let frame = local.tile(TileId { zoom: 0, tx: 0, ty: 0 });
     assert!(frame.approx);
     assert_eq!(coarse.body, raster_bytes(&frame.raster));
     assert_eq!(bound, frame.error_bound);
@@ -552,7 +568,7 @@ fn approximate_tiles_and_viewports_are_labeled_and_carry_no_validator() {
     assert_eq!(exact.header("x-approx"), None);
     assert_eq!(exact.header("x-approx-error"), None);
     assert_eq!(exact.header("etag"), Some(tag.as_str()));
-    assert_eq!(exact.body, raster_bytes(&local.tile(TileId { zoom: 2, tx: 1, ty: 1 })));
+    assert_eq!(exact.body, raster_bytes(&local.tile(TileId { zoom: 2, tx: 1, ty: 1 }).raster));
     let cond =
         request_with(addr, "GET", "/session/0/tile/2/1/1", &[("If-None-Match", &tag)]).unwrap();
     assert_eq!(cond.status, 304);
@@ -569,7 +585,7 @@ fn approximate_tiles_and_viewports_are_labeled_and_carry_no_validator() {
     assert_eq!(vp.header("x-approx"), Some("1"));
     assert!(vp.header("etag").is_none(), "approximate viewports carry no validator");
     assert!(vp.header("x-approx-error").is_some());
-    match local.viewport_frame(world, 32, 32) {
+    match local.viewport_frame(world, 32, 32, None) {
         ViewportFrame::Approx { raster, .. } => assert_eq!(vp.body, raster_bytes(&raster)),
         _ => panic!("a world-at-32px viewport must resolve approximate"),
     }

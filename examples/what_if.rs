@@ -57,7 +57,7 @@ fn main() {
     // up and close it. Every step reports what the edit touched.
     let mut opened = None;
     for step in 0..3 {
-        let before = map.tile_cache_stats();
+        let before = map.cache_stats();
         let start = rnnhm_core::clock::now();
         let (label, dirty) = match step {
             0 => {
@@ -80,7 +80,7 @@ fn main() {
         let start = rnnhm_core::clock::now();
         let frame = map.viewport(view, px_w, px_h);
         let rendered = ms(start);
-        let stats = map.tile_cache_stats();
+        let stats = map.cache_stats();
         let dirty_area: f64 = dirty.rects().iter().map(Rect::area).sum();
         println!(
             "{label:>22}: dirty {:5.1}% of the map in {} box(es) | {} tiles invalidated, {} \
@@ -99,7 +99,7 @@ fn main() {
     let back = map.viewport(view, px_w, px_h);
     let identical =
         back.values().iter().zip(held.values()).all(|(a, b)| a.to_bits() == b.to_bits());
-    let stats = map.tile_cache_stats();
+    let stats = map.cache_stats();
     let occupancy: Vec<String> = stats.shards.iter().map(|s| s.entries.to_string()).collect();
     println!(
         "\nround trip: viewport and refreshed raster agree bit-for-bit: {identical}\n\

@@ -32,9 +32,9 @@
 //!   forks still serve the parent — so both branches stay warm
 //!   everywhere outside the edit's dirty region.
 //!
-//! [`crate::RnnHeatMap`] is a single-session engine: the same code
-//! path, with the engine handle dropped so exclusive-session edit
-//! propagation applies.
+//! [`crate::HeatMapBuilder::build`] returns a single-session engine:
+//! the same code path, with the engine handle dropped so
+//! exclusive-session edit propagation applies.
 //!
 //! ```
 //! use rnn_heatmap::prelude::*;
@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
-use rnnhm_core::arrangement::{fnv1a_words, CoordSpace};
+use rnnhm_core::arrangement::fnv1a_words;
 use rnnhm_core::crest::crest_sweep;
 use rnnhm_core::crest_l2::crest_l2_sweep;
 use rnnhm_core::edit::{ArrangementRef, DirtyRegion, EditError, EditOutcome, Shape};
@@ -78,7 +78,6 @@ use rnnhm_core::sink::{CollectSink, LabeledRegion};
 use rnnhm_core::snapshot::{ArrangementSnapshot, RestrictedArrangement};
 use rnnhm_core::stats::SweepStats;
 use rnnhm_core::window::crest_window;
-use rnnhm_geom::transform::rotate45;
 use rnnhm_geom::{Point, Rect};
 use rnnhm_heatmap::compute::{rasterize_disks, rasterize_squares};
 use rnnhm_heatmap::mipmap::HeatMipmap;
@@ -237,8 +236,7 @@ struct RegionsCache {
 /// The engine hands out [`Session`]s; it keeps the root snapshot
 /// alive, so root-forked sessions propagate their edits by *aliasing*
 /// (the root's warm tiles are never stolen). Dropping the engine —
-/// as [`crate::RnnHeatMap`] does for its single session — releases
-/// that hold.
+/// as [`ExplorationEngine::into_session`] does — releases that hold.
 pub struct ExplorationEngine<M: InfluenceMeasure> {
     shared: Arc<EngineShared<M>>,
     root: Arc<ArrangementSnapshot>,
@@ -292,7 +290,7 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
 
     /// Consumes the engine into a session on the root snapshot,
     /// releasing the engine's hold on the root (the single-user mode
-    /// [`crate::RnnHeatMap`] runs in).
+    /// [`crate::HeatMapBuilder::build`] returns).
     pub fn into_session(self) -> Session<M> {
         Session {
             shared: self.shared,
@@ -352,17 +350,6 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
-
-    /// The influence measure the engine serves.
-    pub fn measure(&self) -> &M {
-        &self.shared.measure
-    }
-
-    /// The LoD exact-zoom threshold the engine was assembled with
-    /// (`None` = every tile exact).
-    pub fn lod_exact_zoom(&self) -> Option<u8> {
-        self.shared.lod_exact_zoom
-    }
 }
 
 /// Bounding box of a snapshot's arrangement in *input-space*
@@ -371,15 +358,9 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
 fn input_bbox(snap: &ArrangementSnapshot) -> Rect {
     let fallback = Rect::new(0.0, 1.0, 0.0, 1.0);
     match snap.arrangement() {
-        ArrangementRef::Square(arr) => arr.bbox().map_or(fallback, |bb| {
-            let corners = [
-                arr.space.to_original(Point::new(bb.x_lo, bb.y_lo)),
-                arr.space.to_original(Point::new(bb.x_lo, bb.y_hi)),
-                arr.space.to_original(Point::new(bb.x_hi, bb.y_lo)),
-                arr.space.to_original(Point::new(bb.x_hi, bb.y_hi)),
-            ];
-            Rect::bounding(&corners).expect("four corners")
-        }),
+        ArrangementRef::Square(arr) => {
+            arr.bbox().map_or(fallback, |bb| arr.space.original_bbox(bb))
+        }
         ArrangementRef::Disk(arr) => arr.bbox().unwrap_or(fallback),
     }
 }
@@ -750,19 +731,7 @@ impl<M: InfluenceMeasure> Session<M> {
             }
             ArrangementRef::Square(arr) => arr,
         };
-        let dirty_bbox = outcome.dirty.bbox().expect("caller checked non-empty");
-        let window = match arr.space {
-            CoordSpace::Identity => dirty_bbox,
-            CoordSpace::Rotated45 => {
-                let corners = [
-                    rotate45(Point::new(dirty_bbox.x_lo, dirty_bbox.y_lo)),
-                    rotate45(Point::new(dirty_bbox.x_lo, dirty_bbox.y_hi)),
-                    rotate45(Point::new(dirty_bbox.x_hi, dirty_bbox.y_lo)),
-                    rotate45(Point::new(dirty_bbox.x_hi, dirty_bbox.y_hi)),
-                ];
-                Rect::bounding(&corners).expect("four corners")
-            }
-        };
+        let window = arr.space.sweep_bbox(outcome.dirty.bbox().expect("caller checked non-empty"));
 
         let list = std::mem::take(&mut cache.list);
         let mut kept: Vec<LabeledRegion> = Vec::with_capacity(list.len());
@@ -863,7 +832,7 @@ fn membership(shape: Option<&Shape>, rect: &Rect) -> Option<bool> {
 }
 
 /// The outcome of a deadline-bounded viewport render
-/// ([`Session::viewport_deadline`]): either the exact frame, or — when
+/// ([`Session::viewport_frame`]): either the exact frame, or — when
 /// the budget ran out with covering tiles still unrendered — a coarse
 /// cache-only [`Preview`] in its place. The serving layer maps this to
 /// "exact response" vs "degraded response + `resolved` header".
@@ -895,7 +864,7 @@ pub enum ViewportFrame {
 }
 
 /// One tile plus its exact/approximate labeling — the LoD-aware tile
-/// endpoint's response ([`Session::tile_lod`]).
+/// endpoint's response ([`Session::tile`]).
 pub struct TileFrame {
     /// The tile's pixels.
     pub raster: Arc<HeatRaster>,
@@ -908,34 +877,21 @@ pub struct TileFrame {
     pub error_bound: f64,
 }
 
-/// A snapshot restriction plus a renderer, the per-tile render base.
-struct RestrictedBase<'a, M> {
-    arrangement: RestrictedArrangement,
-    measure: &'a M,
-}
-
-impl<M: IncrementalMeasure + Sync> RestrictedBase<'_, M> {
-    /// Restricts to the tile's extent and renders it single-band
-    /// (viewports parallelize *across* tiles, not within them).
-    fn render(&self, spec: GridSpec) -> HeatRaster {
-        match &self.arrangement {
-            RestrictedArrangement::Square(arr) => {
-                let sub = arr.restrict_to(spec.extent);
-                rasterize_squares_scanline_bands(&sub, self.measure, spec, 1)
-            }
-            RestrictedArrangement::Disk(arr) => {
-                let sub = arr.restrict_to(spec.extent);
-                rasterize_disks_scanline_bands(&sub, self.measure, spec, 1)
-            }
+/// Renders one tile single-band from a snapshot restriction `base`,
+/// restricted further to the tile's own extent (viewports parallelize
+/// *across* tiles, not within them).
+fn render_tile<M: IncrementalMeasure + Sync>(
+    base: &RestrictedArrangement,
+    measure: &M,
+    spec: GridSpec,
+) -> HeatRaster {
+    match base {
+        RestrictedArrangement::Square(arr) => {
+            rasterize_squares_scanline_bands(&arr.restrict_to(spec.extent), measure, spec, 1)
         }
-    }
-
-    /// [`RestrictedBase::render`] followed by payload encoding, with
-    /// the measure's integrality hint steering integer-valued tiles
-    /// (count and friends) toward the compact affine form first. The
-    /// encoding is lossless by construction either way.
-    fn render_payload(&self, spec: GridSpec) -> TilePayload {
-        TilePayload::encode(self.render(spec), self.measure.integral_influence())
+        RestrictedArrangement::Disk(arr) => {
+            rasterize_disks_scanline_bands(&arr.restrict_to(spec.extent), measure, spec, 1)
+        }
     }
 }
 
@@ -966,24 +922,37 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
     }
 
     /// Renders one tile batch through the shared cache
-    /// (render-on-miss, single-flight across sessions). The render
-    /// base restricts the snapshot's chunked geometry to the union of
-    /// the missing tiles — the full arrangement is never materialized
-    /// on this path.
-    fn fetch_tiles(&self, ids: &[TileId]) -> Vec<std::sync::Arc<TilePayload>> {
+    /// (render-on-miss, single-flight across sessions), giving up with
+    /// `None` once `deadline` passes with covering tiles unrendered.
+    /// The render base restricts the snapshot's chunked geometry to the
+    /// union of the missing tiles — the full arrangement is never
+    /// materialized on this path.
+    fn fetch_tiles(
+        &self,
+        ids: &[TileId],
+        deadline: Option<Instant>,
+    ) -> Option<Vec<Arc<TilePayload>>> {
         // Capture only what the render closures need (`&M` and the
         // snapshot), so `M: Sync` suffices — the closures never take
         // ownership of the engine state.
         let snap: &ArrangementSnapshot = &self.snap;
         let measure = &self.shared.measure;
-        self.shared.cache.fetch_restricted(
-            snap.fingerprint(),
-            self.shared.measure_key,
-            self.shared.scheme(snap),
-            ids,
-            |extent| RestrictedBase { arrangement: snap.restrict_to(extent), measure },
-            |base, _, spec| base.render_payload(spec),
-        )
+        let base = |extent| snap.restrict_to(extent);
+        // The measure's integrality hint steers integer-valued tiles
+        // (count and friends) toward the compact affine encoding first;
+        // the encoding is lossless by construction either way.
+        let hint = measure.integral_influence();
+        let render = |base: &RestrictedArrangement, _, spec| {
+            TilePayload::encode(render_tile(base, measure, spec), hint)
+        };
+        let (fp, key, scheme) =
+            (snap.fingerprint(), self.shared.measure_key, self.shared.scheme(snap));
+        match deadline {
+            Some(d) => {
+                self.shared.cache.fetch_restricted_deadline(fp, key, scheme, ids, d, base, render)
+            }
+            None => Some(self.shared.cache.fetch_restricted(fp, key, scheme, ids, base, render)),
+        }
     }
 
     /// The session's LoD pyramid for its current snapshot, resolving
@@ -1010,7 +979,7 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
         let snap: &ArrangementSnapshot = &self.snap;
         let measure = &self.shared.measure;
         let render = |_id: TileId, spec: GridSpec| {
-            RestrictedBase { arrangement: snap.restrict_to(spec.extent), measure }.render(spec)
+            render_tile(&snap.restrict_to(spec.extent), measure, spec)
         };
         let built = match pending {
             Some((ancestor, dirty)) => {
@@ -1047,12 +1016,13 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
         ids: &[TileId],
     ) -> (Vec<Arc<TilePayload>>, f64) {
         let mip = self.mipmap(scheme, ze);
-        let tiles = self.shared.cache.fetch(
+        let tiles = self.shared.cache.fetch_restricted(
             self.snap.fingerprint(),
             self.shared.approx_measure_key(ze),
             scheme,
             ids,
-            |id, _spec| mip.tile(scheme, id),
+            |_| (),
+            |_, id, _| mip.tile(scheme, id),
         );
         let error_bound = ids.iter().map(|&id| mip.tile_error_bound(id)).fold(0.0f64, f64::max);
         (tiles, error_bound)
@@ -1074,105 +1044,69 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
     pub fn viewport(&self, rect: Rect, px_w: usize, px_h: usize) -> HeatRaster {
         let scheme = self.shared.scheme(&self.snap);
         let view = scheme.viewport(rect, px_w, px_h);
-        let tiles = self.fetch_tiles(view.tiles());
+        let tiles = self.fetch_tiles(view.tiles(), None).expect("no deadline, no giveup");
         view.stitch(scheme, &tiles)
     }
 
-    /// The LoD-aware viewport: resolves like [`Session::viewport`],
-    /// but when the resolved zoom is coarser than the engine's
-    /// exact-zoom threshold the frame is served from the mipmap
-    /// pyramid as a labeled [`ViewportFrame::Approx`] — O(tile_px²)
-    /// per tile regardless of dataset size. At or below the
-    /// threshold (or with LoD disabled) this is exactly
+    /// The LoD-aware, optionally deadline-bounded viewport: resolves
+    /// like [`Session::viewport`], but
+    ///
+    /// * when the resolved zoom is coarser than the engine's
+    ///   exact-zoom threshold, the frame is served from the mipmap
+    ///   pyramid as a labeled [`ViewportFrame::Approx`] — O(tile_px²)
+    ///   per tile regardless of dataset size. Per-tile work there is a
+    ///   blit, far below any sane deadline, so the budget is not
+    ///   consulted (the one-time pyramid build on a cold snapshot can
+    ///   exceed it; that cost amortizes over every later coarse frame,
+    ///   exactly like a cold cache fill);
+    /// * otherwise missing tiles render only while `deadline` has not
+    ///   passed. If any covering tile is still unrendered at the
+    ///   deadline, the frame **degrades** to a cache-only
+    ///   [`ViewportFrame::Degraded`] preview instead of blocking — the
+    ///   admission-to-degradation pipeline the HTTP server serves
+    ///   viewports through. Partial work is kept (rendered tiles stay
+    ///   cached), so repeated degraded requests resolve progressively
+    ///   more of the frame.
+    ///
+    /// With LoD disabled and no deadline the result is exactly
     /// [`ViewportFrame::Exact`] of [`Session::viewport`].
-    pub fn viewport_frame(&self, rect: Rect, px_w: usize, px_h: usize) -> ViewportFrame {
-        let scheme = self.shared.scheme(&self.snap);
-        let view = scheme.viewport(rect, px_w, px_h);
-        if let Some(ze) = self.shared.effective_exact_zoom(scheme) {
-            if view.zoom < ze {
-                let (tiles, error_bound) = self.fetch_tiles_approx(scheme, ze, view.tiles());
-                return ViewportFrame::Approx { raster: view.stitch(scheme, &tiles), error_bound };
-            }
-        }
-        let tiles = self.fetch_tiles(view.tiles());
-        ViewportFrame::Exact(view.stitch(scheme, &tiles))
-    }
-
-    /// [`Session::viewport`] under a wall-clock budget: renders
-    /// missing tiles only while `deadline` has not passed, and if any
-    /// covering tile is still unrendered at the deadline, **degrades**
-    /// to a cache-only preview instead of blocking — the
-    /// admission-to-degradation pipeline the HTTP server serves
-    /// viewports through. Partial work is kept (rendered tiles stay
-    /// cached), so repeated degraded requests resolve progressively
-    /// more of the frame.
-    pub fn viewport_deadline(
+    pub fn viewport_frame(
         &self,
         rect: Rect,
         px_w: usize,
         px_h: usize,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> ViewportFrame {
         let scheme = self.shared.scheme(&self.snap);
         let view = scheme.viewport(rect, px_w, px_h);
         if let Some(ze) = self.shared.effective_exact_zoom(scheme) {
             if view.zoom < ze {
-                // Above the exact-zoom threshold the answer comes from
-                // the pyramid: per-tile work is a blit, far below any
-                // sane deadline, so the budget is not consulted. (The
-                // one-time pyramid build on a cold snapshot can exceed
-                // it; that cost amortizes over every later coarse
-                // frame, exactly like a cold cache fill.)
                 let (tiles, error_bound) = self.fetch_tiles_approx(scheme, ze, view.tiles());
                 return ViewportFrame::Approx { raster: view.stitch(scheme, &tiles), error_bound };
             }
         }
-        let snap: &ArrangementSnapshot = &self.snap;
-        let measure = &self.shared.measure;
-        let tiles = self.shared.cache.fetch_restricted_deadline(
-            snap.fingerprint(),
-            self.shared.measure_key,
-            scheme,
-            view.tiles(),
-            deadline,
-            |extent| RestrictedBase { arrangement: snap.restrict_to(extent), measure },
-            |base, _, spec| base.render_payload(spec),
-        );
-        match tiles {
+        match self.fetch_tiles(view.tiles(), deadline) {
             Some(tiles) => ViewportFrame::Exact(view.stitch(scheme, &tiles)),
-            None => ViewportFrame::Degraded(view.preview(
-                scheme,
-                &self.shared.cache,
-                snap.fingerprint(),
-                self.shared.measure_key,
-                measure.influence(&[]),
-            )),
+            None => ViewportFrame::Degraded(self.viewport_preview(rect, px_w, px_h)),
         }
     }
 
     /// Renders (or fetches) one tile of the session's pyramid through
-    /// the shared cache — the HTTP tile endpoint. `id` must address a
-    /// tile of [`Session::tile_scheme`] (`zoom ≤ max_zoom`, `tx, ty <
-    /// n_tiles(zoom)`); out-of-range ids are a caller bug (the server
-    /// validates before calling).
-    pub fn tile(&self, id: TileId) -> Arc<HeatRaster> {
-        let payload = self.fetch_tiles(&[id]).pop().expect("one tile in, one raster out");
-        Arc::new(payload.to_raster())
-    }
-
-    /// The LoD-aware tile endpoint: tiles at a zoom coarser than the
-    /// engine's exact-zoom threshold come from the mipmap pyramid and
-    /// are labeled approximate (with their measured error bound);
-    /// everything else is [`Session::tile`], exact and bit-stable.
-    pub fn tile_lod(&self, id: TileId) -> TileFrame {
+    /// the shared cache — the HTTP tile endpoint. Tiles at a zoom
+    /// coarser than the engine's exact-zoom threshold come from the
+    /// mipmap pyramid and are labeled approximate (with their measured
+    /// error bound); everything else is exact and bit-stable. `id` must
+    /// address a tile of [`Session::tile_scheme`] (`zoom ≤ max_zoom`,
+    /// `tx, ty < n_tiles(zoom)`); out-of-range ids are a caller bug
+    /// (the server validates before calling).
+    pub fn tile(&self, id: TileId) -> TileFrame {
         let scheme = self.shared.scheme(&self.snap);
-        if let Some(ze) = self.shared.effective_exact_zoom(scheme) {
-            if id.zoom < ze {
-                let (tiles, error_bound) = self.fetch_tiles_approx(scheme, ze, &[id]);
-                let tile = tiles.into_iter().next().expect("one tile in, one raster out");
-                return TileFrame { raster: Arc::new(tile.to_raster()), approx: true, error_bound };
-            }
-        }
-        TileFrame { raster: self.tile(id), approx: false, error_bound: 0.0 }
+        let approx_zoom = self.shared.effective_exact_zoom(scheme).filter(|&ze| id.zoom < ze);
+        let (tiles, error_bound) = match approx_zoom {
+            Some(ze) => self.fetch_tiles_approx(scheme, ze, &[id]),
+            None => (self.fetch_tiles(&[id], None).expect("no deadline, no giveup"), 0.0),
+        };
+        let tile = tiles.into_iter().next().expect("one tile in, one raster out");
+        TileFrame { raster: Arc::new(tile.to_raster()), approx: approx_zoom.is_some(), error_bound }
     }
 }

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use rnn_heatmap::prelude::*;
-use rnn_heatmap::{HeatMapBuilder, RnnHeatMap};
+use rnn_heatmap::{HeatMapBuilder, Session};
 
 /// One edit: `(op, x, y, pick)` decoded by [`apply_script`].
 type Step = (u8, u32, u32, u32);
@@ -48,7 +48,7 @@ fn decode_point(x: u32, y: u32) -> Point {
 /// edit's dirty region. Skipped steps (removing the last facility)
 /// must error, not panic.
 fn apply_script<M: IncrementalMeasure + Sync>(
-    map: &mut RnnHeatMap<M>,
+    map: &mut Session<M>,
     script: &[Step],
     held: &mut HeatRaster,
 ) {

@@ -33,7 +33,7 @@ fn base_mosaic(session: &Session<CountMeasure>) -> (Vec<f64>, usize) {
     let mut out = vec![0.0; px * px];
     for ty in 0..side {
         for tx in 0..side {
-            let tile = session.tile(TileId { zoom: ZE, tx: tx as u32, ty: ty as u32 });
+            let tile = session.tile(TileId { zoom: ZE, tx: tx as u32, ty: ty as u32 }).raster;
             for r in 0..TILE_PX {
                 let dst = (ty * TILE_PX + r) * px + tx * TILE_PX;
                 let src = r * TILE_PX;
@@ -96,8 +96,8 @@ fn exact_zoom_tiles_are_bit_identical_to_a_no_lod_engine() {
         for ty in [0, side - 1] {
             for tx in [0, side / 2] {
                 let id = TileId { zoom, tx, ty };
-                let exact = a.tile(id);
-                let frame = b.tile_lod(id);
+                let exact = a.tile(id).raster;
+                let frame = b.tile(id);
                 assert!(!frame.approx, "{id:?} at/above threshold must be exact");
                 assert_eq!(frame.error_bound, 0.0);
                 assert_eq!(exact.values(), frame.raster.values(), "{id:?}");
@@ -116,7 +116,7 @@ fn coarse_tiles_stay_inside_the_base_envelope() {
         for ty in 0..side {
             for tx in 0..side {
                 let id = TileId { zoom, tx, ty };
-                let frame = s.tile_lod(id);
+                let frame = s.tile(id);
                 assert_containment(&frame, id, &mosaic, px);
             }
         }
@@ -130,7 +130,7 @@ fn coarse_viewports_are_labeled_approximate_and_bounded() {
     let world = s.tile_scheme().world();
     // A world-sized request at one tile's worth of pixels resolves to
     // zoom 0 — below the threshold.
-    match s.viewport_frame(world, TILE_PX, TILE_PX) {
+    match s.viewport_frame(world, TILE_PX, TILE_PX, None) {
         ViewportFrame::Approx { raster, error_bound } => {
             assert_eq!(raster.spec.width, TILE_PX);
             assert!(error_bound.is_finite() && error_bound >= 0.0);
@@ -141,7 +141,7 @@ fn coarse_viewports_are_labeled_approximate_and_bounded() {
     // and match the no-LoD engine bitwise.
     let plain = build(false);
     let q = Rect::new(2.0, 4.0, 5.0, 7.0);
-    match s.viewport_frame(q, 128, 128) {
+    match s.viewport_frame(q, 128, 128, None) {
         ViewportFrame::Exact(raster) => {
             assert_eq!(raster.values(), plain.session().viewport(q, 128, 128).values());
         }
@@ -166,7 +166,7 @@ fn the_contract_survives_edits() {
 
     // Warm the pyramid first so the edit exercises the patch path, not
     // a cold build.
-    let _ = b.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 });
+    let _ = b.tile(TileId { zoom: 0, tx: 0, ty: 0 });
 
     let (fa, _) = a.add_facility(Point::new(3.3, 6.6)).expect("add");
     let (fb, _) = b.add_facility(Point::new(3.3, 6.6)).expect("add");
@@ -176,9 +176,9 @@ fn the_contract_survives_edits() {
     // Exact tiles agree bitwise after the same edit script.
     for (tx, ty) in [(0, 0), (1, 2), (3, 3)] {
         let id = TileId { zoom: ZE, tx, ty };
-        let frame = b.tile_lod(id);
+        let frame = b.tile(id);
         assert!(!frame.approx);
-        assert_eq!(a.tile(id).values(), frame.raster.values(), "{id:?} after edits");
+        assert_eq!(a.tile(id).raster.values(), frame.raster.values(), "{id:?} after edits");
     }
 
     // Coarse tiles re-satisfy containment against the *post-edit* base.
@@ -188,7 +188,7 @@ fn the_contract_survives_edits() {
         for ty in 0..side {
             for tx in 0..side {
                 let id = TileId { zoom, tx, ty };
-                let frame = b.tile_lod(id);
+                let frame = b.tile(id);
                 assert_containment(&frame, id, &mosaic, px);
             }
         }
@@ -204,7 +204,7 @@ fn lazy_patch_equals_cold_rebuild_bitwise() {
     let cold = build(true);
     let mut w = warm.session();
     let mut c = cold.session();
-    let _ = w.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 }); // warm pyramid
+    let _ = w.tile(TileId { zoom: 0, tx: 0, ty: 0 }); // warm pyramid
     let (fw, _) = w.add_facility(Point::new(5.1, 5.2)).expect("add");
     let (fc, _) = c.add_facility(Point::new(5.1, 5.2)).expect("add");
     w.remove_facility(fw).ok();
@@ -214,8 +214,8 @@ fn lazy_patch_equals_cold_rebuild_bitwise() {
         for ty in 0..side {
             for tx in 0..side {
                 let id = TileId { zoom, tx, ty };
-                let pw = w.tile_lod(id);
-                let pc = c.tile_lod(id);
+                let pw = w.tile(id);
+                let pc = c.tile(id);
                 assert_eq!(pw.raster.values(), pc.raster.values(), "{id:?} patched vs cold");
                 assert_eq!(pw.error_bound, pc.error_bound, "{id:?} bounds");
             }

@@ -95,11 +95,12 @@ proptest! {
         let view = scheme.viewport(rect, px_w, px_h);
         // Tiles render the *restricted* sub-arrangement, as production
         // does — this property-tests the filter's exactness contract.
-        let stitched = view.render(&scheme, &cache, arr.fingerprint(), measure.cache_key(),
-            |_, spec: GridSpec| {
+        let tiles = cache.fetch_restricted(arr.fingerprint(), measure.cache_key(), &scheme,
+            view.tiles(), |_| (), |_, _, spec: GridSpec| {
                 let sub = arr.restrict_to(spec.extent);
                 rasterize_squares_scanline_bands(&sub, &measure, spec, 1)
             });
+        let stitched = view.stitch(&scheme, &tiles);
         let one_shot = rasterize_squares_scanline_bands(&arr, &measure, stitched.spec, 1);
         assert_bit_identical(&stitched, &one_shot, "squares");
     }
@@ -120,14 +121,15 @@ proptest! {
         );
         let cache = TileCache::new(64 << 20);
         let measure = WeightedMeasure::new((0..n).map(|i| (i % 7) as f64 * 0.5).collect());
-        let render = |_, spec: GridSpec| {
+        let render = |_: &(), _, spec: GridSpec| {
             let sub = arr.restrict_to(spec.extent);
             rasterize_disks_scanline_bands(&sub, &measure, spec, 1)
         };
         let keys = (arr.fingerprint(), measure.cache_key());
 
         let view = scheme.viewport(rect, px_w, px_h);
-        let stitched = view.render(&scheme, &cache, keys.0, keys.1, render);
+        let tiles = cache.fetch_restricted(keys.0, keys.1, &scheme, view.tiles(), |_| (), render);
+        let stitched = view.stitch(&scheme, &tiles);
         let one_shot = rasterize_disks_scanline_bands(&arr, &measure, stitched.spec, 1);
         assert_bit_identical(&stitched, &one_shot, "disks cold");
 
@@ -137,7 +139,8 @@ proptest! {
         let panned = Rect::new(rect.x_lo + shift, rect.x_hi + shift, rect.y_lo, rect.y_hi);
         let view2 = scheme.viewport(panned, px_w, px_h);
         let hits_before = cache.stats().hits;
-        let stitched2 = view2.render(&scheme, &cache, keys.0, keys.1, render);
+        let tiles2 = cache.fetch_restricted(keys.0, keys.1, &scheme, view2.tiles(), |_| (), render);
+        let stitched2 = view2.stitch(&scheme, &tiles2);
         let one_shot2 = rasterize_disks_scanline_bands(&arr, &measure, stitched2.spec, 1);
         assert_bit_identical(&stitched2, &one_shot2, "disks warm");
         if view2.tiles().iter().any(|t| view.tiles().contains(t)) {
@@ -186,10 +189,16 @@ fn viewport_straddling_world_corner_is_exact() {
     let scheme = TileScheme::for_extent(arr.bbox().unwrap(), 16);
     let cache = TileCache::new(16 << 20);
     let view = scheme.viewport(Rect::new(-30.0, 1.0, -30.0, 1.0), 64, 64);
-    let stitched =
-        view.render(&scheme, &cache, arr.fingerprint(), CountMeasure.cache_key(), |_, spec| {
-            rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1)
-        });
+    let keys = (arr.fingerprint(), CountMeasure.cache_key());
+    let tiles = cache.fetch_restricted(
+        keys.0,
+        keys.1,
+        &scheme,
+        view.tiles(),
+        |_| (),
+        |_, _, spec| rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1),
+    );
+    let stitched = view.stitch(&scheme, &tiles);
     assert!(scheme.world().contains_rect(&stitched.spec.extent));
     let one_shot = rasterize_squares_scanline_bands(&arr, &CountMeasure, stitched.spec, 1);
     assert_bit_identical(&stitched, &one_shot, "world corner");
@@ -205,16 +214,20 @@ fn tile_aligned_viewport_reuses_whole_tiles() {
     let arr = square_arrangement_of(squares, CoordSpace::Identity);
     let scheme = TileScheme::for_extent(arr.bbox().unwrap(), 16);
     let cache = TileCache::new(16 << 20);
-    let render = |_, spec| rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1);
+    let render = |_: &(), _, spec| rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1);
     let keys = (arr.fingerprint(), CountMeasure.cache_key());
     let world = scheme.world();
     let zoom1_tile = world.width() / 2.0;
     let tile0 = Rect::new(world.x_lo, world.x_lo + zoom1_tile, world.y_lo, world.y_lo + zoom1_tile);
 
     let v0 = scheme.viewport(tile0, 16, 16);
-    let r0 = v0.render(&scheme, &cache, keys.0, keys.1, render);
+    let fetch_v0 = || {
+        let tiles = cache.fetch_restricted(keys.0, keys.1, &scheme, v0.tiles(), |_| (), render);
+        v0.stitch(&scheme, &tiles)
+    };
+    let r0 = fetch_v0();
     let misses_after_first = cache.stats().misses;
-    let r0_again = v0.render(&scheme, &cache, keys.0, keys.1, render);
+    let r0_again = fetch_v0();
     assert_eq!(cache.stats().misses, misses_after_first, "warm repeat renders nothing");
     for (a, b) in r0.values().iter().zip(r0_again.values()) {
         assert_eq!(a.to_bits(), b.to_bits());
@@ -230,6 +243,6 @@ fn tile_aligned_viewport_reuses_whole_tiles() {
             tile: id,
         })
         .expect("tile cached");
-    let fetched = cache.fetch(keys.0, keys.1, &scheme, &[id], render);
+    let fetched = cache.fetch_restricted(keys.0, keys.1, &scheme, &[id], |_| (), render);
     assert!(Arc::ptr_eq(&first, &fetched[0]));
 }
